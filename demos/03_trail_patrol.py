@@ -11,7 +11,6 @@ import numpy as np
 from sentinet import (
     MovementParams,
     SimulationConfig,
-    Strategy,
     TopologyConfig,
     TrafficConfig,
     Engine,
@@ -44,7 +43,7 @@ def visit_gaps(report, n_nodes):
 
 
 for name in ("trails", "uninformed"):
-    config = SimulationConfig(strategy=Strategy.from_name(name), **BASE)
+    config = SimulationConfig(strategy=name, **BASE)
     engine = Engine(config)
     report = engine.run()
     n = engine.topology.node_count

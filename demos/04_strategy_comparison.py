@@ -1,4 +1,4 @@
-"""All four management strategies on one desk-scale scenario.
+"""All five management strategies on one desk-scale scenario.
 
 A 60-node network, 12 cell types, internal attacks dominating the traffic.
 Uninformed cells drift toward the hubs and leave endpoints exposed; the
@@ -10,7 +10,6 @@ gap for a fraction of the messages; trails keep the sweep coverage regular.
 from sentinet import (
     MovementParams,
     SimulationConfig,
-    Strategy,
     TopologyConfig,
     TrafficConfig,
     Engine,
@@ -29,7 +28,7 @@ def build(strategy_name):
         movement=MovementParams(0.3, 0.1, 0.8),
         trail_params=TrailParams(increase_base=120.0, increase_scale=0.001, decay_step=0.5, value_cap=150.0),
         traffic=TrafficConfig(packets_per_step=1, infection_probability=0.5, internal_attack_rate=4),
-        strategy=Strategy.from_name(strategy_name),
+        strategy=strategy_name,
         duration=1500,
         seed=5,
     )

@@ -18,8 +18,6 @@ from .engine import (
     ConfigError,
     Engine,
     SimulationConfig,
-    Strategy,
-    StrategyKind,
     plan_rebalance,
     run,
 )
@@ -71,8 +69,6 @@ __all__ = [
     "NotificationView",
     "NotifyParams",
     "SimulationConfig",
-    "Strategy",
-    "StrategyKind",
     "Topology",
     "TopologyConfig",
     "TopologyError",

@@ -94,21 +94,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(payload: tuple[dict, str, int]) -> dict:
-    raw, strategy, seed = payload
-    from .scenario import load_dict
-
-    scenario = load_dict(raw)
-    config = scenario.config_for(strategy, seed)
-    report = Engine(config).run()
-    return report.summary()
+def _run_one(job: tuple[Scenario, str, int]) -> dict:
+    scenario, strategy, seed = job
+    return Engine(scenario.config_for(strategy, seed)).run().summary()
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     out = _out_dir(scenario, args.out_dir)
     grid = [
-        (scenario._raw, strategy, seed)
+        (scenario, strategy, seed)
         for strategy in sorted(scenario.sweep_strategies)
         for seed in sorted(scenario.sweep_seeds)
     ]
@@ -182,7 +177,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     print(
         f"ok: {args.scenario} "
-        f"(strategy={scenario.config.strategy.name}, duration={scenario.config.duration})"
+        f"(strategy={scenario.config.strategy}, duration={scenario.config.duration})"
     )
     return 0
 
@@ -199,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, TopologyError, ValueError) as exc:
+    except (ConfigError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

@@ -7,8 +7,8 @@ measurement and deficiency emission, (4) synchronous notification relay,
 Strategies: `uninformed` cells wander with their resting probability and no
 information; `centralized` cells wander the same way but an omniscient
 manager teleports packet checkers onto deficits every step, paying
-distance-priced control bandwidth; `protocols` enables the notification
-and/or trail mechanisms, which inform movement locally.
+distance-priced control bandwidth; `notification` and `trails` each enable
+one local mechanism that informs movement, and `protocols` enables both.
 
 A run is a pure function of its configuration: one master seed is split into
 named, independent substreams (traffic, movement, selection) so toggling one
@@ -17,8 +17,8 @@ mechanism never perturbs another's draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -45,48 +45,7 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     )
 
 
-class StrategyKind(Enum):
-    UNINFORMED = "uninformed"
-    CENTRALIZED = "centralized"
-    PROTOCOLS = "protocols"
-
-
-@dataclass(frozen=True)
-class Strategy:
-    kind: StrategyKind = StrategyKind.UNINFORMED
-    notification_enabled: bool = False
-    trails_enabled: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind is not StrategyKind.PROTOCOLS and (
-            self.notification_enabled or self.trails_enabled
-        ):
-            raise ConfigError("strategy: only the protocols strategy takes protocol toggles")
-
-    @classmethod
-    def from_name(cls, name: str) -> "Strategy":
-        table = {
-            "uninformed": cls(StrategyKind.UNINFORMED),
-            "centralized": cls(StrategyKind.CENTRALIZED),
-            "notification": cls(StrategyKind.PROTOCOLS, notification_enabled=True),
-            "trails": cls(StrategyKind.PROTOCOLS, trails_enabled=True),
-            "protocols": cls(StrategyKind.PROTOCOLS, True, True),
-        }
-        if name not in table:
-            raise ConfigError(f"strategy: unknown strategy {name!r}")
-        return table[name]
-
-    @property
-    def name(self) -> str:
-        if self.kind is not StrategyKind.PROTOCOLS:
-            return self.kind.value
-        if self.notification_enabled and self.trails_enabled:
-            return "protocols"
-        if self.notification_enabled:
-            return "notification"
-        if self.trails_enabled:
-            return "trails"
-        return "protocols"
+STRATEGIES = ("uninformed", "notification", "trails", "protocols", "centralized")
 
 
 @dataclass
@@ -103,7 +62,7 @@ class SimulationConfig:
     trail_params: TrailParams = field(default_factory=TrailParams)
     notify_params: NotifyParams = field(default_factory=NotifyParams)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    strategy: Strategy = field(default_factory=Strategy)
+    strategy: str = "uninformed"
     duration: int = 1000
     seed: int = 1
     start_fragment: int | None = None
@@ -113,8 +72,12 @@ class SimulationConfig:
     coverage_window: int | None = None
 
     def validate(self) -> None:
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"strategy: unknown strategy {self.strategy!r}")
         if self.duration < 1:
             raise ConfigError("duration: must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed: must be non-negative")
         if self.cell_types < 1:
             raise ConfigError("cell_types: must be at least 1")
         if self.packet_checkers_per_type < 0:
@@ -123,27 +86,24 @@ class SimulationConfig:
             raise ConfigError("node_checkers_per_type: must be non-negative")
         if self.security_value <= 0:
             raise ConfigError("security_value: must be positive")
-        if self.min_security < 0:
-            raise ConfigError("min_security: must be non-negative")
-        for role, value in self.min_security_by_role.items():
-            if value < 0:
-                raise ConfigError(f"min_security_{role.value}: must be non-negative")
-        try:
-            self.movement.validate()
-        except ValueError as exc:
-            raise ConfigError(f"movement: {exc}") from exc
-        try:
-            self.trail_params.validate()
-        except ValueError as exc:
-            raise ConfigError(f"trails: {exc}") from exc
-        try:
-            self.traffic.validate()
-        except ValueError as exc:
-            raise ConfigError(f"traffic: {exc}") from exc
-        try:
-            self.topology.validate()
-        except ValueError as exc:
-            raise ConfigError(f"topology: {exc}") from exc
+        requirements = [("min_security", self.min_security)]
+        requirements += [(f"min_security_{r.value}", x) for r, x in self.min_security_by_role.items()]
+        requirements += [(f"min_security_by_node[{v}]", x) for v, x in self.min_security_by_node.items()]
+        for key, value in requirements:
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{key}: must be finite and non-negative")
+        sections = {
+            "movement": self.movement,
+            "trails": self.trail_params,
+            "notify": self.notify_params,
+            "traffic": self.traffic,
+            "topology": self.topology,
+        }
+        for prefix, params in sections.items():
+            try:
+                params.validate()
+            except ValueError as exc:
+                raise ConfigError(f"{prefix}: {exc}") from exc
         if self.bridge_decay_step is not None and self.bridge_decay_step <= 0:
             raise ConfigError("bridge_decay_step: must be positive")
         if self.coverage_window is not None and self.coverage_window < 1:
@@ -197,9 +157,9 @@ class Engine:
         n = topology.node_count
         k = config.cell_types
         strategy = config.strategy
-        self.notification_on = strategy.notification_enabled
-        self.trails_on = strategy.trails_enabled
-        self.centralized = strategy.kind is StrategyKind.CENTRALIZED
+        self.notification_on = strategy in ("notification", "protocols")
+        self.trails_on = strategy in ("trails", "protocols")
+        self.centralized = strategy == "centralized"
 
         self.min_security_node = np.full(n, config.min_security, dtype=np.float64)
         for v, role in enumerate(topology.roles):
@@ -591,7 +551,7 @@ class Engine:
             duration=self.config.duration,
             node_count=self.topology.node_count,
             cell_types=self.config.cell_types,
-            strategy=self.config.strategy.name,
+            strategy=self.config.strategy,
             seed=self.config.seed,
             detected_packets=self.detected_packets,
             introduced_packets=self.introduced_packets,

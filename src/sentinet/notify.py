@@ -10,6 +10,7 @@ is stored between steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,6 +35,10 @@ class NotifyParams:
     # When a node both emits and relays, its own fresh deficiency wins.
     # Set False to forward whichever value is larger instead.
     own_emission_wins: bool = True
+
+    def validate(self) -> None:
+        if not 0.0 <= self.forward_threshold < math.inf:
+            raise ValueError("forward_threshold must be finite and non-negative")
 
 
 def _packet_order(packet: NotificationPacket) -> tuple[float, int, int]:

@@ -2,92 +2,24 @@
 
 Every key is optional and falls back to the library default; unknown sections
 or keys are rejected so typos cannot silently change an experiment. The
+accepted keys and their types come from the config dataclasses' fields. The
 [sweep] section lists seeds and strategy names for the sweep subcommand.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import copy
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .cells import MovementParams
-from .engine import ConfigError, SimulationConfig, Strategy
+from .engine import STRATEGIES, ConfigError, SimulationConfig
 from .notify import NotifyParams
 from .threat import TrafficConfig
 from .topology import NodeRole, TopologyConfig
 from .trails import TrailParams
-
-_SCHEMA: dict[str, dict[str, str]] = {
-    "topology": {
-        "node_count": "int",
-        "fragment_count": "int",
-        "bridges_per_fragment_pair": "int",
-        "workstation_fraction": "float",
-        "server_fraction": "float",
-        "router_fraction": "float",
-        "backbone_redundancy": "float",
-        "seed": "int",
-    },
-    "cells": {
-        "cell_types": "int",
-        "packet_checkers_per_type": "int",
-        "node_checkers_per_type": "int",
-        "security_value": "float",
-        "start_fragment": "int",
-    },
-    "security": {
-        "min_security": "float",
-        "min_security_workstation": "float",
-        "min_security_server": "float",
-        "min_security_router": "float",
-        "min_security_gateway": "float",
-    },
-    "movement": {
-        "base_probability": "float",
-        "gain": "float",
-        "max_probability": "float",
-    },
-    "trails": {
-        "increase_base": "float",
-        "increase_scale": "float",
-        "decay_step": "float",
-        "value_cap": "float",
-        "exponent_cap": "float",
-        "bridge_fallback": "bool",
-        "bridge_decay_step": "float",
-    },
-    "notify": {
-        "forward_threshold": "float",
-        "own_emission_wins": "bool",
-    },
-    "traffic": {
-        "packets_per_step": "int",
-        "infection_probability": "float",
-        "internal_attack_rate": "float",
-        "infections_per_step": "float",
-    },
-    "run": {
-        "strategy": "str",
-        "duration": "int",
-        "seed": "int",
-        "coverage_window": "int",
-    },
-    "sweep": {
-        "seeds": "ints",
-        "strategies": "strs",
-    },
-    "output": {
-        "out_dir": "str",
-    },
-}
-
-_ROLE_KEYS = {
-    "min_security_workstation": NodeRole.WORKSTATION,
-    "min_security_server": NodeRole.SERVER,
-    "min_security_router": NodeRole.ROUTER,
-    "min_security_gateway": NodeRole.GATEWAY,
-}
 
 
 @dataclass
@@ -97,144 +29,125 @@ class Scenario:
     sweep_strategies: list[str] = field(default_factory=list)
     out_dir: str | None = None
 
-    _raw: dict[str, dict[str, str]] = field(default_factory=dict, repr=False)
-
     def config_for(self, strategy_name: str, seed: int) -> SimulationConfig:
         """A fresh config with the strategy and seed swapped in."""
-        fresh = load_dict(self._raw).config
-        fresh.strategy = Strategy.from_name(strategy_name)
+        fresh = copy.deepcopy(self.config)
+        fresh.strategy = strategy_name
         fresh.seed = seed
         return fresh
 
 
-def _parse_value(section: str, key: str, raw: str) -> object:
-    kind = _SCHEMA[section][key]
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "ints":
-            return [int(tok) for tok in raw.split()]
-        if kind == "strs":
-            return raw.split()
-        return raw.strip()
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from exc
+def _field_types(cls: type) -> dict[str, str]:
+    return {f.name: f.type for f in fields(cls)}
+
+
+# Sections that fill one parameter dataclass: section -> (config attribute, class).
+_PARAMS = {
+    "topology": ("topology", TopologyConfig),
+    "movement": ("movement", MovementParams),
+    "trails": ("trail_params", TrailParams),
+    "notify": ("notify_params", NotifyParams),
+    "traffic": ("traffic", TrafficConfig),
+}
+# SimulationConfig fields that a section sets directly.
+_DIRECT = {
+    "cells": (
+        "cell_types",
+        "packet_checkers_per_type",
+        "node_checkers_per_type",
+        "security_value",
+        "start_fragment",
+    ),
+    "security": ("min_security",),
+    "trails": ("bridge_fallback", "bridge_decay_step"),
+    "run": ("strategy", "duration", "seed", "coverage_window"),
+}
+# Scenario fields: section -> {key: attribute}.
+_SCENARIO = {
+    "sweep": {"seeds": "sweep_seeds", "strategies": "sweep_strategies"},
+    "output": {"out_dir": "out_dir"},
+}
+_ROLE_KEYS = {f"min_security_{role.value}": role for role in NodeRole}
+
+
+def _key_types() -> dict[str, dict[str, str]]:
+    """Each accepted section and key, with the annotation its value parses by."""
+    config_types, scenario_types = _field_types(SimulationConfig), _field_types(Scenario)
+    types = {section: _field_types(cls) for section, (_, cls) in _PARAMS.items()}
+    for section, names in _DIRECT.items():
+        types.setdefault(section, {}).update((name, config_types[name]) for name in names)
+    types["security"].update(dict.fromkeys(_ROLE_KEYS, config_types["min_security"]))
+    for section, attrs in _SCENARIO.items():
+        types[section] = {key: scenario_types[attr] for key, attr in attrs.items()}
+    return types
+
+
+_KEY_TYPES = _key_types()
+
+
+def _parse_value(kind: str, raw: str) -> object:
+    """Parse one value by its field's annotation, e.g. "float | None" or "list[int]"."""
+    kind = kind.removesuffix(" | None")
+    if kind.startswith("list["):
+        return [_parse_value(kind[5:-1], token) for token in raw.split()]
+    if kind == "int":
+        return int(raw)
+    if kind == "float":
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {raw!r}")
+        return value
+    if kind == "bool":
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError:
+            raise ValueError(f"not a boolean: {raw!r}") from None
+    return raw.strip()
 
 
 def load_dict(sections: dict[str, dict[str, str]]) -> Scenario:
     """Build a Scenario from already-split section/key/value strings."""
+    config = SimulationConfig()
+    scenario = Scenario(config=config)
+    params: dict[str, dict[str, object]] = {section: {} for section in _PARAMS}
     for section, entries in sections.items():
-        if section not in _SCHEMA:
+        if section not in _KEY_TYPES:
             raise ConfigError(f"unknown section [{section}]")
-        for key in entries:
-            if key not in _SCHEMA[section]:
+        for key, raw in entries.items():
+            if key not in _KEY_TYPES[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
-
-    def get(section: str, key: str):
-        raw = sections.get(section, {}).get(key)
-        return None if raw is None else _parse_value(section, key, raw)
-
-    topo_kwargs = {}
-    for key in _SCHEMA["topology"]:
-        value = get("topology", key)
-        if value is not None:
-            topo_kwargs[key] = value
-    config = SimulationConfig(topology=TopologyConfig(**topo_kwargs))
-
-    for key in ("cell_types", "packet_checkers_per_type", "node_checkers_per_type"):
-        value = get("cells", key)
-        if value is not None:
-            setattr(config, key, value)
-    value = get("cells", "security_value")
-    if value is not None:
-        config.security_value = value
-    value = get("cells", "start_fragment")
-    if value is not None:
-        config.start_fragment = value
-
-    value = get("security", "min_security")
-    if value is not None:
-        config.min_security = value
-    for key, role in _ROLE_KEYS.items():
-        value = get("security", key)
-        if value is not None:
-            config.min_security_by_role[role] = value
-
-    movement = {}
-    for key in _SCHEMA["movement"]:
-        value = get("movement", key)
-        if value is not None:
-            movement[key] = value
-    if movement:
-        config.movement = MovementParams(**{**vars(MovementParams()), **movement})
-
-    trail_kwargs = {}
-    for key in ("increase_base", "increase_scale", "decay_step", "value_cap", "exponent_cap"):
-        value = get("trails", key)
-        if value is not None:
-            trail_kwargs[key] = value
-    if trail_kwargs:
-        config.trail_params = TrailParams(**{**vars(TrailParams()), **trail_kwargs})
-    value = get("trails", "bridge_fallback")
-    if value is not None:
-        config.bridge_fallback = value
-    value = get("trails", "bridge_decay_step")
-    if value is not None:
-        config.bridge_decay_step = value
-
-    notify_kwargs = {}
-    for key in _SCHEMA["notify"]:
-        value = get("notify", key)
-        if value is not None:
-            notify_kwargs[key] = value
-    if notify_kwargs:
-        config.notify_params = NotifyParams(**{**vars(NotifyParams()), **notify_kwargs})
-
-    traffic_kwargs = {}
-    for key in _SCHEMA["traffic"]:
-        value = get("traffic", key)
-        if value is not None:
-            traffic_kwargs[key] = value
-    if traffic_kwargs:
-        config.traffic = TrafficConfig(**{**vars(TrafficConfig()), **traffic_kwargs})
-
-    value = get("run", "strategy")
-    if value is not None:
-        config.strategy = Strategy.from_name(value)
-    for key in ("duration", "seed"):
-        value = get("run", key)
-        if value is not None:
-            setattr(config, key, value)
-    value = get("run", "coverage_window")
-    if value is not None:
-        config.coverage_window = value
-
+            try:
+                value = _parse_value(_KEY_TYPES[section][key], raw)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+            if key in _DIRECT.get(section, ()):
+                setattr(config, key, value)
+            elif key in _ROLE_KEYS:
+                config.min_security_by_role[_ROLE_KEYS[key]] = value
+            elif section in _SCENARIO:
+                setattr(scenario, _SCENARIO[section][key], value)
+            else:
+                params[section][key] = value
+    for section, (attr, cls) in _PARAMS.items():
+        setattr(config, attr, cls(**params[section]))
     config.validate()
 
-    scenario = Scenario(
-        config=config,
-        sweep_seeds=get("sweep", "seeds") or [config.seed],
-        sweep_strategies=get("sweep", "strategies") or [config.strategy.name],
-        out_dir=get("output", "out_dir"),
-    )
-    scenario._raw = {s: dict(v) for s, v in sections.items()}
+    scenario.sweep_seeds = scenario.sweep_seeds or [config.seed]
+    scenario.sweep_strategies = scenario.sweep_strategies or [config.strategy]
     for name in scenario.sweep_strategies:
-        Strategy.from_name(name)
+        if name not in STRATEGIES:
+            raise ConfigError(f"sweep.strategies: unknown strategy {name!r}")
+    if any(seed < 0 for seed in scenario.sweep_seeds):
+        raise ConfigError("sweep.seeds: seeds must be non-negative")
     return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed scenario file: {exc}") from exc
     if not read:
         raise FileNotFoundError(path)
     sections = {name: dict(parser.items(name)) for name in parser.sections()}

@@ -78,6 +78,8 @@ class TopologyConfig:
             raise TopologyError("role fractions must sum to 1")
         if self.backbone_redundancy < 0.0:
             raise TopologyError("backbone_redundancy must be non-negative")
+        if self.seed is not None and self.seed < 0:
+            raise TopologyError("seed must be non-negative")
         # Every fragment needs at least a router and one attached node.
         if self.node_count // self.fragment_count < 2:
             raise TopologyError("node_count too small for the requested fragment_count")

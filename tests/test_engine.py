@@ -15,9 +15,8 @@ from sentinet import (
     MovementParams,
     NodeRole,
     NotificationView,
+    NotifyParams,
     SimulationConfig,
-    Strategy,
-    StrategyKind,
     Topology,
     TopologyConfig,
     TrafficConfig,
@@ -37,7 +36,7 @@ def small_config(**overrides) -> SimulationConfig:
         traffic=TrafficConfig(
             packets_per_step=2, infection_probability=0.5, internal_attack_rate=1.0
         ),
-        strategy=Strategy.from_name("protocols"),
+        strategy="protocols",
         duration=60,
         seed=3,
     )
@@ -63,17 +62,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="packet_checkers_per_type"):
             Engine(small_config(packet_checkers_per_type=-1))
 
-    def test_centralized_excludes_protocol_toggles(self):
-        with pytest.raises(ConfigError, match="strategy"):
-            Strategy(StrategyKind.CENTRALIZED, notification_enabled=True)
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            (dict(min_security=float("nan")), "min_security"),
+            (dict(min_security_by_role={NodeRole.SERVER: float("inf")}), "min_security_server"),
+            (dict(min_security_by_node={3: float("nan")}), "min_security_by_node"),
+            (dict(notify_params=NotifyParams(forward_threshold=-3.0)), "notify: forward_threshold"),
+            (dict(seed=-1), "seed"),
+        ],
+    )
+    def test_non_finite_and_out_of_range_rejected(self, overrides, key):
+        with pytest.raises(ConfigError, match=key):
+            Engine(small_config(**overrides))
 
     def test_strategy_names(self):
-        assert Strategy.from_name("notification").notification_enabled
-        assert not Strategy.from_name("notification").trails_enabled
-        assert Strategy.from_name("trails").trails_enabled
-        assert Strategy.from_name("protocols").notification_enabled
-        with pytest.raises(ConfigError):
-            Strategy.from_name("bogus")
+        expected = {
+            "uninformed": (False, False, False),
+            "notification": (True, False, False),
+            "trails": (False, True, False),
+            "protocols": (True, True, False),
+            "centralized": (False, False, True),
+        }
+        for name, flags in expected.items():
+            engine = Engine(small_config(strategy=name))
+            assert (engine.notification_on, engine.trails_on, engine.centralized) == flags
+        with pytest.raises(ConfigError, match="strategy"):
+            Engine(small_config(strategy="bogus"))
 
     def test_duration_one_produces_one_metrics_row(self):
         report = Engine(small_config(duration=1)).run()
@@ -111,7 +126,7 @@ class TestSingleNode:
             packet_checkers_per_type=5,
             node_checkers_per_type=0,
             min_security=20.0,
-            strategy=Strategy.from_name("notification"),
+            strategy="notification",
             duration=10,
             seed=1,
         )
@@ -131,7 +146,7 @@ class TestPhaseOrdering:
             node_checkers_per_type=0,
             min_security=0.0,
             min_security_by_node={0: 5.0},
-            strategy=Strategy.from_name("notification"),
+            strategy="notification",
             duration=5,
             seed=1,
         )
@@ -151,7 +166,7 @@ class TestPhaseOrdering:
             node_checkers_per_type=0,
             min_security=0.0,
             min_security_by_node={0: 1.0},
-            strategy=Strategy.from_name("notification"),
+            strategy="notification",
             duration=4,
             seed=1,
         )
@@ -192,14 +207,14 @@ class TestBandwidthInvariant:
         config = small_config(
             duration=120,
             min_security=3.0,
-            strategy=Strategy.from_name("notification"),
+            strategy="notification",
         )
         report = Engine(config).run()
         assert report.notification_packets_total > 0
         assert report.max_link_load <= 1
 
     def test_uninformed_run_sends_no_notifications(self):
-        report = Engine(small_config(strategy=Strategy.from_name("uninformed"))).run()
+        report = Engine(small_config(strategy="uninformed")).run()
         assert report.notification_packets_total == 0
         assert report.control_bandwidth == 0
 
@@ -211,7 +226,7 @@ class TestPinning:
             packet_checkers_per_type=2,
             node_checkers_per_type=0,
             min_security=50.0,
-            strategy=Strategy.from_name("notification"),
+            strategy="notification",
             duration=30,
         )
         report = Engine(config).run()
@@ -248,7 +263,7 @@ class TestCentralized:
 
     def test_centralized_run_pays_distance_priced_bandwidth(self):
         config = small_config(
-            strategy=Strategy.from_name("centralized"),
+            strategy="centralized",
             min_security=3.0,
             duration=50,
         )
@@ -258,7 +273,7 @@ class TestCentralized:
 
     def test_centralized_eliminates_reachable_deficits_each_step(self):
         config = small_config(
-            strategy=Strategy.from_name("centralized"),
+            strategy="centralized",
             min_security=3.0,
             duration=30,
         )
@@ -289,7 +304,7 @@ class ReplayRng:
 class TestVectorizedMovementMatchesPerCellDecision:
     @pytest.mark.parametrize("strategy", ["uninformed", "notification"])
     def test_engine_movement_equals_decide_move(self, strategy):
-        config = small_config(strategy=Strategy.from_name(strategy), duration=30, seed=11)
+        config = small_config(strategy=strategy, duration=30, seed=11)
         engine = Engine(config)
         topo = engine.topology
         for _ in range(12):
@@ -370,7 +385,7 @@ class TestConfigWiring:
     def test_bridge_fallback_marks_exactly_the_bridge_endpoints(self):
         config = small_config(
             topology=TopologyConfig(node_count=30, fragment_count=2, seed=7),
-            strategy=Strategy.from_name("trails"),
+            strategy="trails",
             bridge_fallback=True,
             bridge_decay_step=5.0,
         )
@@ -390,7 +405,7 @@ class TestEngineRelayMatchesProtocolFunctions:
         from sentinet import NotificationInbox, NotificationPacket, forward_step
 
         config = small_config(
-            strategy=Strategy.from_name("notification"),
+            strategy="notification",
             min_security=3.0,
             duration=25,
             seed=21,
@@ -442,16 +457,16 @@ class TestMovementStreamIsolation:
     def test_toggling_trails_does_not_perturb_packet_checker_draws(self):
         # Node checker behavior differs between the arms, but packet checker
         # trajectories must match draw for draw.
-        engine_a = Engine(small_config(strategy=Strategy.from_name("protocols")))
-        engine_b = Engine(small_config(strategy=Strategy.from_name("notification")))
+        engine_a = Engine(small_config(strategy="protocols"))
+        engine_b = Engine(small_config(strategy="notification"))
         for _ in range(25):
             engine_a.step()
             engine_b.step()
             assert np.array_equal(engine_a.loc[: engine_a.n_pc], engine_b.loc[: engine_b.n_pc])
 
     def test_toggling_notification_does_not_perturb_node_checker_draws(self):
-        engine_a = Engine(small_config(strategy=Strategy.from_name("protocols")))
-        engine_b = Engine(small_config(strategy=Strategy.from_name("trails")))
+        engine_a = Engine(small_config(strategy="protocols"))
+        engine_b = Engine(small_config(strategy="trails"))
         for _ in range(25):
             engine_a.step()
             engine_b.step()

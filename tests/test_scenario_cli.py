@@ -51,7 +51,7 @@ class TestScenarioParsing:
         assert scenario.config.topology.node_count == 24
         assert scenario.config.cell_types == 3
         assert scenario.config.duration == 40
-        assert scenario.config.strategy.name == "protocols"
+        assert scenario.config.strategy == "protocols"
         assert scenario.sweep_seeds == [1, 2]
         assert scenario.sweep_strategies == ["uninformed", "notification"]
 
@@ -76,7 +76,7 @@ class TestScenarioParsing:
     def test_config_for_overrides_strategy_and_seed(self, tiny_scenario):
         scenario = load_scenario(tiny_scenario)
         config = scenario.config_for("uninformed", 77)
-        assert config.strategy.name == "uninformed"
+        assert config.strategy == "uninformed"
         assert config.seed == 77
         # The original stays untouched.
         assert scenario.config.seed == 9
