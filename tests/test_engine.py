@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentinet import (
     Cell,
@@ -286,6 +288,97 @@ class TestCentralized:
         required = engine.min_security_node.sum()
         if total_supply >= required:
             assert total_deficit == 0
+
+
+def reference_plan_rebalance(counts, required):
+    """One argmax and one argmin over all nodes per move: the plain greedy."""
+    counts = counts.astype(np.int64).copy()
+    required = np.ceil(required).astype(np.int64)
+    moves = []
+    while True:
+        balance = counts - required
+        src = int(np.argmax(balance))
+        dst = int(np.argmin(balance))
+        if balance[src] <= 0 or balance[dst] >= 0:
+            return moves
+        amount = int(min(balance[src], -balance[dst]))
+        counts[src] -= amount
+        counts[dst] += amount
+        moves.append((src, dst, amount))
+
+
+def reference_centralized_assign(engine):
+    """Per-node pools of cell ids, moved one cell at a time."""
+    n = engine.topology.node_count
+    n_pc = engine.n_pc
+    if n_pc == 0:
+        return
+    counts = np.bincount(engine.loc[:n_pc], minlength=n)
+    required = engine.min_security_node / engine.config.security_value
+    moves = reference_plan_rebalance(counts, required)
+    by_node = {}
+    for cid in np.argsort(engine.loc[:n_pc], kind="stable"):
+        by_node.setdefault(int(engine.loc[cid]), []).append(int(cid))
+    for src, dst, amount in moves:
+        pool = by_node.setdefault(src, [])
+        chosen = pool[:amount]
+        del pool[:amount]
+        for cid in chosen:
+            engine.loc[cid] = dst
+            ctype = int(engine.cell_type[cid])
+            engine.pc_counts_by_type[src, ctype] -= 1
+            engine.pc_counts_by_type[dst, ctype] += 1
+            by_node.setdefault(dst, []).append(cid)
+        engine.control_bandwidth += amount * 2.0 * int(engine._dist_from_gateway[src])
+
+
+_tied_counts = st.one_of(st.integers(0, 40), st.sampled_from([0, 0, 1, 3]))
+_tied_required = st.one_of(
+    st.integers(0, 160).map(lambda q: q / 4), st.sampled_from([0.0, 1.0, 2.5, 3.0])
+)
+
+
+class TestRebalanceMatchesReference:
+    @given(
+        pairs=st.lists(st.tuples(_tied_counts, _tied_required), min_size=1, max_size=60)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_plan_equals_argmax_argmin_greedy(self, pairs):
+        counts = np.array([c for c, _ in pairs], dtype=np.int64)
+        required = np.array([r for _, r in pairs], dtype=np.float64)
+        moves = plan_rebalance(counts, required)
+        assert moves == reference_plan_rebalance(counts, required)
+        assert all(type(x) is int for move in moves for x in move)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(min_security=3.0),
+            dict(min_security=2.5, security_value=0.75),
+            dict(min_security=1.0, min_security_by_role={NodeRole.ROUTER: 6.0}),
+            dict(
+                topology=TopologyConfig(node_count=40, fragment_count=2, seed=4),
+                min_security=4.0,
+                packet_checkers_per_type=12,
+            ),
+            dict(min_security=5.0, packet_checkers_per_type=6, start_nodes=[0, 1]),
+            # Few crowded sources, each feeding many small deficits per step.
+            dict(min_security=2.0, start_nodes=[0, 5, 9]),
+            dict(min_security=1.0, start_nodes=[3]),
+        ],
+    )
+    def test_assignment_equals_per_cell_pools(self, overrides):
+        config = small_config(strategy="centralized", duration=25, **overrides)
+        engine = Engine(config)
+        reference = Engine(copy.deepcopy(config))
+        reference._centralized_assign = lambda: reference_centralized_assign(reference)
+        for _ in range(config.duration):
+            engine.step()
+            reference.step()
+            assert np.array_equal(engine.loc, reference.loc)
+        assert np.array_equal(engine.pc_counts_by_type, reference.pc_counts_by_type)
+        assert engine.control_bandwidth == reference.control_bandwidth
+        assert reference.control_bandwidth > 0
 
 
 class ReplayRng:
