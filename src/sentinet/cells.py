@@ -7,6 +7,7 @@ sweep nodes for installed intrusions and are routed by the trail tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Protocol, Sequence
@@ -37,8 +38,8 @@ class MovementParams:
     def validate(self) -> None:
         if not 0.0 <= self.base_probability <= self.max_probability <= 1.0:
             raise ValueError("need 0 <= base_probability <= max_probability <= 1")
-        if self.gain < 0.0:
-            raise ValueError("gain must be non-negative")
+        if not 0.0 <= self.gain < math.inf:
+            raise ValueError("gain must be finite and non-negative")
 
 
 @dataclass

@@ -17,6 +17,7 @@ mechanism never perturbs another's draws.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +27,7 @@ from .cells import MovementParams
 from .metrics import MetricsReport
 from .notify import NotifyParams
 from .threat import Infection, TrafficConfig, TrafficPacket, TrafficSource
-from .topology import NodeRole, Topology, TopologyConfig, generate_topology
+from .topology import NodeRole, Topology, TopologyConfig, TopologyError, generate_topology
 from .trails import TrailParams, TrailState
 
 
@@ -84,8 +85,8 @@ class SimulationConfig:
             raise ConfigError("packet_checkers_per_type: must be non-negative")
         if self.node_checkers_per_type < 0:
             raise ConfigError("node_checkers_per_type: must be non-negative")
-        if self.security_value <= 0:
-            raise ConfigError("security_value: must be positive")
+        if not 0 < self.security_value < math.inf:
+            raise ConfigError("security_value: must be finite and positive")
         requirements = [("min_security", self.min_security)]
         requirements += [(f"min_security_{r.value}", x) for r, x in self.min_security_by_role.items()]
         requirements += [(f"min_security_by_node[{v}]", x) for v, x in self.min_security_by_node.items()]
@@ -104,8 +105,13 @@ class SimulationConfig:
                 params.validate()
             except ValueError as exc:
                 raise ConfigError(f"{prefix}: {exc}") from exc
-        if self.bridge_decay_step is not None and self.bridge_decay_step <= 0:
-            raise ConfigError("bridge_decay_step: must be positive")
+        if self.bridge_decay_step is not None and not 0 < self.bridge_decay_step < math.inf:
+            raise ConfigError("bridge_decay_step: must be finite and positive")
+        if self.start_fragment is not None and not 0 <= self.start_fragment < self.topology.fragment_count:
+            raise ConfigError(
+                f"start_fragment: must lie in [0, {self.topology.fragment_count}), "
+                f"got {self.start_fragment}"
+            )
         if self.coverage_window is not None and self.coverage_window < 1:
             raise ConfigError("coverage_window: must be at least 1")
 
@@ -120,20 +126,32 @@ class SimulationConfig:
 def plan_rebalance(counts: np.ndarray, required: np.ndarray) -> list[tuple[int, int, int]]:
     """Greedy transfer plan: biggest surplus feeds biggest deficit until one
     side runs dry. Ties resolve to the lower node id. Counts are cell units.
+
+    A move changes only its two nodes' balances and never flips a sign, so two
+    heaps keyed on (balance, node id) pick the pairs a full argmax and argmin
+    over all nodes would.
     """
-    counts = counts.astype(np.int64).copy()
-    required = np.ceil(required).astype(np.int64)
+    balance = counts.astype(np.int64) - np.ceil(required).astype(np.int64)
+    givers = np.flatnonzero(balance > 0)
+    takers = np.flatnonzero(balance < 0)
+    surplus = list(zip((-balance[givers]).tolist(), givers.tolist()))
+    deficit = list(zip(balance[takers].tolist(), takers.tolist()))
+    heapq.heapify(surplus)
+    heapq.heapify(deficit)
     moves: list[tuple[int, int, int]] = []
-    while True:
-        balance = counts - required
-        src = int(np.argmax(balance))
-        dst = int(np.argmin(balance))
-        if balance[src] <= 0 or balance[dst] >= 0:
-            return moves
-        amount = int(min(balance[src], -balance[dst]))
-        counts[src] -= amount
-        counts[dst] += amount
+    while surplus and deficit:
+        (give, src), (need, dst) = surplus[0], deficit[0]
+        amount = min(-give, -need)
         moves.append((src, dst, amount))
+        if give + amount:
+            heapq.heapreplace(surplus, (give + amount, src))
+        else:
+            heapq.heappop(surplus)
+        if need + amount:
+            heapq.heapreplace(deficit, (need + amount, dst))
+        else:
+            heapq.heappop(deficit)
+    return moves
 
 
 class Engine:
@@ -234,6 +252,13 @@ class Engine:
         self._notif_link = np.full(n, -1, dtype=np.int64)
 
         self._dist_from_gateway = topology.hop_distances(topology.gateway)
+        if config.traffic.packets_per_step > 0 or self.centralized:
+            unreachable = np.flatnonzero(self._dist_from_gateway < 0)
+            if len(unreachable):
+                raise TopologyError(
+                    f"node {unreachable[0]} is unreachable from the gateway "
+                    f"{topology.gateway}: traffic and the centralized manager need a path"
+                )
         self._notif_per_connection = np.zeros(len(topology.edges), dtype=np.int64)
         self.lacking = np.zeros(n, dtype=np.float64)
         self.t = 0
@@ -499,26 +524,30 @@ class Engine:
         n_pc = self.n_pc
         if n_pc == 0:
             return
-        counts = np.bincount(self.loc[:n_pc], minlength=n)
+        locs = self.loc[:n_pc]
         required = self.min_security_node / self.config.security_value
-        moves = plan_rebalance(counts, required)
+        moves = plan_rebalance(np.bincount(locs, minlength=n), required)
         if not moves:
             return
-        by_node: dict[int, list[int]] = {}
-        order = np.argsort(self.loc[:n_pc], kind="stable")
-        for cid in order:
-            by_node.setdefault(int(self.loc[cid]), []).append(int(cid))
-        for src, dst, amount in moves:
-            pool = by_node.setdefault(src, [])
-            chosen = pool[:amount]
-            del pool[:amount]
-            for cid in chosen:
-                self.loc[cid] = dst
-                ctype = int(self.cell_type[cid])
-                self.pc_counts_by_type[src, ctype] -= 1
-                self.pc_counts_by_type[dst, ctype] += 1
-                by_node.setdefault(dst, []).append(cid)
-            self.control_bandwidth += amount * 2.0 * max(0, int(self._dist_from_gateway[src]))
+        src, dst, amount = np.array(moves, dtype=np.int64).T
+        # Sources only give, so each hands out its first cells in id order,
+        # in plan order: sorted stably by source, a cell's rank among its
+        # source's outgoing cells is its slot in that source's pool.
+        is_source = np.zeros(n, dtype=bool)
+        is_source[src] = True
+        pool = np.flatnonzero(is_source[locs])
+        pool = pool[np.argsort(locs[pool], kind="stable")]
+        origin, target = np.repeat(src, amount), np.repeat(dst, amount)
+        by_source = np.argsort(origin, kind="stable")
+        origin, target = origin[by_source], target[by_source]
+        rank = np.arange(len(origin)) - np.searchsorted(origin, origin)
+        chosen = pool[np.searchsorted(locs[pool], origin) + rank]
+        self.loc[chosen] = target
+        counts = self.pc_counts_by_type
+        width, types = counts.shape[1], self.cell_type[chosen]
+        counts -= np.bincount(origin * width + types, minlength=counts.size).reshape(counts.shape)
+        counts += np.bincount(target * width + types, minlength=counts.size).reshape(counts.shape)
+        self.control_bandwidth += 2.0 * int(self._dist_from_gateway[origin].sum())
 
     # ------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ Detection is exact type matching with no false positives or negatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -33,10 +34,9 @@ class TrafficConfig:
             raise ValueError("packets_per_step must be non-negative")
         if not 0.0 <= self.infection_probability <= 1.0:
             raise ValueError("infection_probability must lie in [0, 1]")
-        if self.internal_attack_rate < 0:
-            raise ValueError("internal_attack_rate must be non-negative")
-        if self.infections_per_step < 0:
-            raise ValueError("infections_per_step must be non-negative")
+        for name in ("internal_attack_rate", "infections_per_step"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass

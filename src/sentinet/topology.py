@@ -9,6 +9,7 @@ is the degenerate shape some placement protocols struggle with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -76,8 +77,8 @@ class TopologyConfig:
         total = self.workstation_fraction + self.server_fraction + self.router_fraction
         if not 0.99 <= total <= 1.01:
             raise TopologyError("role fractions must sum to 1")
-        if self.backbone_redundancy < 0.0:
-            raise TopologyError("backbone_redundancy must be non-negative")
+        if not 0.0 <= self.backbone_redundancy < math.inf:
+            raise TopologyError("backbone_redundancy must be finite and non-negative")
         if self.seed is not None and self.seed < 0:
             raise TopologyError("seed must be non-negative")
         # Every fragment needs at least a router and one attached node.

@@ -30,8 +30,8 @@ class TrailParams:
 
     def validate(self) -> None:
         for name in ("increase_base", "increase_scale", "decay_step", "value_cap", "exponent_cap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 def trail_increase(old: float, params: TrailParams) -> float:

@@ -21,7 +21,9 @@ from sentinet import (
     SimulationConfig,
     Topology,
     TopologyConfig,
+    TopologyError,
     TrafficConfig,
+    TrailParams,
     decide_move,
     plan_rebalance,
 )
@@ -55,6 +57,12 @@ def path_topology() -> Topology:
     return Topology(roles=roles, edges=[Connection(0, 0, 1), Connection(1, 1, 2)])
 
 
+def island_topology() -> Topology:
+    """A path from the gateway plus node 3, which has no link at all."""
+    roles = [NodeRole.GATEWAY, NodeRole.ROUTER, NodeRole.WORKSTATION, NodeRole.WORKSTATION]
+    return Topology(roles=roles, edges=[Connection(0, 0, 1), Connection(1, 1, 2)])
+
+
 class TestConfigValidation:
     def test_zero_duration_rejected(self):
         with pytest.raises(ConfigError, match="duration"):
@@ -72,11 +80,40 @@ class TestConfigValidation:
             (dict(min_security_by_node={3: float("nan")}), "min_security_by_node"),
             (dict(notify_params=NotifyParams(forward_threshold=-3.0)), "notify: forward_threshold"),
             (dict(seed=-1), "seed"),
+            (dict(traffic=TrafficConfig(internal_attack_rate=float("nan"))), "traffic: internal_attack_rate"),
+            (dict(traffic=TrafficConfig(infections_per_step=float("inf"))), "traffic: infections_per_step"),
+            (dict(movement=MovementParams(gain=float("inf"))), "movement: gain"),
+            (dict(trail_params=TrailParams(decay_step=float("nan"))), "trails: decay_step"),
+            (dict(trail_params=TrailParams(value_cap=float("inf"))), "trails: value_cap"),
+            (
+                dict(topology=TopologyConfig(node_count=30, seed=7, backbone_redundancy=float("nan"))),
+                "topology: backbone_redundancy",
+            ),
+            (dict(security_value=float("nan")), "security_value"),
+            (dict(bridge_decay_step=float("inf")), "bridge_decay_step"),
+            (dict(start_fragment=1), "start_fragment"),
         ],
     )
     def test_non_finite_and_out_of_range_rejected(self, overrides, key):
         with pytest.raises(ConfigError, match=key):
             Engine(small_config(**overrides))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(strategy="uninformed"),
+            dict(strategy="centralized", traffic=TrafficConfig()),
+        ],
+    )
+    def test_node_unreachable_from_gateway_rejected(self, overrides):
+        config = small_config(**overrides)
+        with pytest.raises(TopologyError, match="node 3 is unreachable"):
+            Engine(config, topology=island_topology())
+
+    def test_island_allowed_without_traffic_or_manager(self):
+        traffic = TrafficConfig(infection_probability=1.0, internal_attack_rate=1.0)
+        report = Engine(small_config(traffic=traffic), topology=island_topology()).run()
+        assert report.introduced_packets > 0
 
     def test_strategy_names(self):
         expected = {

@@ -99,6 +99,12 @@ class TestCli:
         assert main(["validate", str(path)]) == 1
         assert "min_security" in capsys.readouterr().err
 
+    def test_validate_start_fragment_beyond_fragment_count_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text("[cells]\nstart_fragment = 3\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "start_fragment" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.ini")]) == 2
 
