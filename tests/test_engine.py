@@ -1,22 +1,23 @@
 """Engine behavior: phase order, determinism, conservation, baselines."""
 
-import copy
 import json
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_model import ReferenceModel, reference_plan_rebalance
 
 from sentinet import (
-    Cell,
-    CellKind,
     ConfigError,
     Connection,
     Engine,
+    MetricsReport,
     MovementParams,
     NodeRole,
-    NotificationView,
     NotifyParams,
     SimulationConfig,
     Topology,
@@ -24,9 +25,9 @@ from sentinet import (
     TopologyError,
     TrafficConfig,
     TrailParams,
-    decide_move,
     plan_rebalance,
 )
+from sentinet.engine import STRATEGIES
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -327,46 +328,42 @@ class TestCentralized:
             assert total_deficit == 0
 
 
-def reference_plan_rebalance(counts, required):
-    """One argmax and one argmin over all nodes per move: the plain greedy."""
-    counts = counts.astype(np.int64).copy()
-    required = np.ceil(required).astype(np.int64)
-    moves = []
-    while True:
-        balance = counts - required
-        src = int(np.argmax(balance))
-        dst = int(np.argmin(balance))
-        if balance[src] <= 0 or balance[dst] >= 0:
-            return moves
-        amount = int(min(balance[src], -balance[dst]))
-        counts[src] -= amount
-        counts[dst] += amount
-        moves.append((src, dst, amount))
+@st.composite
+def valid_configs(draw) -> SimulationConfig:
+    """Small valid configs over every mechanism's knobs; strategy left default."""
+    nodes = draw(st.integers(2, 20))
+    fragments = draw(st.integers(1, 2)) if nodes >= 4 else 1
+    return SimulationConfig(
+        topology=TopologyConfig(node_count=nodes, fragment_count=fragments, seed=draw(st.integers(0, 99))),
+        cell_types=draw(st.integers(1, 4)),
+        packet_checkers_per_type=draw(st.integers(0, 6)),
+        node_checkers_per_type=draw(st.integers(0, 6)),
+        min_security=draw(st.sampled_from([0.0, 1.0, 2.0, 3.5, 5.0])),
+        min_security_by_role=draw(st.sampled_from([{}, {NodeRole.ROUTER: 4.0}, {NodeRole.SERVER: 6.0}])),
+        movement=MovementParams(*draw(st.sampled_from([(0.1, 0.05, 0.8), (0.3, 0.2, 0.9), (0.0, 1.0, 1.0)]))),
+        notify_params=NotifyParams(draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])), draw(st.booleans())),
+        traffic=draw(st.sampled_from([TrafficConfig(), TrafficConfig(2, 0.6, 0.5, 0.25)])),
+        duration=draw(st.integers(1, 25)),
+        seed=draw(st.integers(0, 99)),
+        start_fragment=draw(st.one_of(st.none(), st.integers(0, fragments - 1))),
+        bridge_fallback=draw(st.booleans()),
+        bridge_decay_step=draw(st.sampled_from([None, 0.5, 5.0])),
+    )
 
 
-def reference_centralized_assign(engine):
-    """Per-node pools of cell ids, moved one cell at a time."""
-    n = engine.topology.node_count
-    n_pc = engine.n_pc
-    if n_pc == 0:
-        return
-    counts = np.bincount(engine.loc[:n_pc], minlength=n)
-    required = engine.min_security_node / engine.config.security_value
-    moves = reference_plan_rebalance(counts, required)
-    by_node = {}
-    for cid in np.argsort(engine.loc[:n_pc], kind="stable"):
-        by_node.setdefault(int(engine.loc[cid]), []).append(int(cid))
-    for src, dst, amount in moves:
-        pool = by_node.setdefault(src, [])
-        chosen = pool[:amount]
-        del pool[:amount]
-        for cid in chosen:
-            engine.loc[cid] = dst
-            ctype = int(engine.cell_type[cid])
-            engine.pc_counts_by_type[src, ctype] -= 1
-            engine.pc_counts_by_type[dst, ctype] += 1
-            by_node.setdefault(dst, []).append(cid)
-        engine.control_bandwidth += amount * 2.0 * int(engine._dist_from_gateway[src])
+def assert_matches_reference(config: SimulationConfig) -> MetricsReport:
+    """Step the engine and the reference model side by side: cell locations
+    after every step, and every report field at the end."""
+    engine = Engine(config)
+    model = ReferenceModel(config, engine.topology)
+    for _ in range(config.duration):
+        engine.step()
+        model.step()
+        assert np.array_equal(engine.loc, model.loc), f"{config.strategy}: loc differs at t={model.t}"
+    report, expected = engine.report(), model.report()
+    for f in fields(MetricsReport):
+        assert np.array_equal(getattr(report, f.name), getattr(expected, f.name)), f"{config.strategy}: {f.name}"
+    return report
 
 
 _tied_counts = st.one_of(st.integers(0, 40), st.sampled_from([0, 0, 1, 3]))
@@ -405,86 +402,41 @@ class TestRebalanceMatchesReference:
         ],
     )
     def test_assignment_equals_per_cell_pools(self, overrides):
-        config = small_config(strategy="centralized", duration=25, **overrides)
+        for strategy in STRATEGIES:
+            report = assert_matches_reference(small_config(strategy=strategy, duration=25, **overrides))
+        assert report.control_bandwidth > 0
+
+
+class TestEngineMatchesReferenceModel:
+    @given(config=valid_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_strategy_matches_step_by_step(self, config):
+        for strategy in STRATEGIES:
+            assert_matches_reference(replace(config, strategy=strategy))
+
+
+def output_bytes(report: MetricsReport) -> tuple[bytes, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        report.write_json(Path(tmp) / "summary.json")
+        report.write_csv(Path(tmp) / "timeseries.csv")
+        return (Path(tmp) / "summary.json").read_bytes(), (Path(tmp) / "timeseries.csv").read_bytes()
+
+
+class TestInvariantsOnRandomConfigs:
+    @given(config=valid_configs(), strategy=st.sampled_from(STRATEGIES))
+    @settings(max_examples=60, deadline=None)
+    def test_hard_invariants_hold(self, config, strategy):
+        config = replace(config, strategy=strategy)
         engine = Engine(config)
-        reference = Engine(copy.deepcopy(config))
-        reference._centralized_assign = lambda: reference_centralized_assign(reference)
-        for _ in range(config.duration):
-            engine.step()
-            reference.step()
-            assert np.array_equal(engine.loc, reference.loc)
-        assert np.array_equal(engine.pc_counts_by_type, reference.pc_counts_by_type)
-        assert engine.control_bandwidth == reference.control_bandwidth
-        assert reference.control_bandwidth > 0
-
-
-class ReplayRng:
-    """Feeds decide_move the exact uniforms the engine consumed."""
-
-    def __init__(self, draws):
-        self.draws = list(draws)
-
-    def random(self):
-        return self.draws.pop(0)
-
-    def integers(self, low, high):  # pragma: no cover - decide_move never calls it here
-        raise AssertionError("unexpected draw")
-
-
-class TestVectorizedMovementMatchesPerCellDecision:
-    @pytest.mark.parametrize("strategy", ["uninformed", "notification"])
-    def test_engine_movement_equals_decide_move(self, strategy):
-        config = small_config(strategy=strategy, duration=30, seed=11)
-        engine = Engine(config)
-        topo = engine.topology
-        for _ in range(12):
-            engine._phase_traffic()
-            engine._phase_node_checks()
-            engine._phase_security()
-            engine._phase_relay()
-            engine._phase_trail_decay()
-
-            before = engine.loc[: engine.n_pc].copy()
-            lacking = engine.lacking.copy()
-            notif_value = engine.notif_value.copy()
-            notif_from = engine.notif_from.copy()
-            rng_copy = copy.deepcopy(engine._rng_movement)
-
-            engine._move_packet_checkers()
-            after = engine.loc[: engine.n_pc]
-
-            u_move = rng_copy.random(engine.n_pc)
-            u_dest = rng_copy.random(engine.n_pc)
-            informed = engine.notification_on
-            for cid in range(engine.n_pc):
-                here = int(before[cid])
-                cell = Cell(
-                    cid,
-                    int(engine.cell_type[cid]),
-                    CellKind.PACKET_CHECKER,
-                    here,
-                    params=config.movement,
-                )
-                neighbors = topo.neighbors(here)
-                view = None
-                if informed and notif_value[here] > 0:
-                    arrival = topo.connection_between(here, int(notif_from[here]))
-                    view = NotificationView(float(notif_value[here]), arrival)
-                chosen = decide_move(
-                    cell,
-                    float(lacking[here]) if informed else 0.0,
-                    neighbors,
-                    view,
-                    None,
-                    ReplayRng([u_move[cid], u_dest[cid]]),
-                )
-                expected = here if chosen is None else chosen.other(here)
-                assert int(after[cid]) == expected, f"cell {cid} diverged"
-
-            engine._entity_counts[engine.t] = np.bincount(
-                engine.loc, minlength=topo.node_count
-            )
-            engine.t += 1
+        report = engine.run()
+        assert report.max_link_load <= 1
+        assert (report.entity_counts.sum(axis=1) == len(engine.loc)).all()
+        infected_in_flight = sum(p.payload is not None for p in engine.in_flight)
+        assert report.introduced_packets == (
+            report.detected_packets + report.delivered_infected + infected_in_flight
+        )
+        assert report.infections_created - report.infections_cleared == report.infections_active
+        assert output_bytes(report) == output_bytes(Engine(config).run())
 
 
 class TestConfigWiring:
@@ -528,59 +480,6 @@ class TestConfigWiring:
             start = int(engine.topology.adj_indptr[node])
             end = int(engine.topology.adj_indptr[node + 1])
             assert (engine.trail_state._decay_steps[start:end] == 5.0).all()
-
-
-class TestEngineRelayMatchesProtocolFunctions:
-    def test_array_relay_equals_forward_step_delivery(self):
-        from sentinet import NotificationInbox, NotificationPacket, forward_step
-
-        config = small_config(
-            strategy="notification",
-            min_security=3.0,
-            duration=25,
-            seed=21,
-        )
-        engine = Engine(config)
-        topo = engine.topology
-        inboxes = [NotificationInbox() for _ in range(topo.node_count)]
-        for _ in range(25):
-            engine._phase_traffic()
-            engine._phase_node_checks()
-            engine._phase_security()
-
-            sends = []
-            for node in range(topo.node_count):
-                own = None
-                if engine.lacking[node] > 0:
-                    own = NotificationPacket(node, float(engine.lacking[node]))
-                sends.extend(
-                    (node, conn, packet)
-                    for conn, packet in forward_step(
-                        node, topo.neighbors(node), inboxes[node], own, config.notify_params
-                    )
-                )
-            for box in inboxes:
-                box.clear()
-            for sender, conn, packet in sends:
-                inboxes[conn.other(sender)].add(packet)
-
-            engine._phase_relay()
-            for node in range(topo.node_count):
-                best = inboxes[node].best
-                if best is None:
-                    assert engine.notif_value[node] == 0.0
-                else:
-                    assert engine.notif_value[node] == best.value
-                    assert engine._notif_origin[node] == best.origin
-                    assert engine._notif_link[node] == best.arrival.link_id
-                    assert engine.notif_from[node] == best.arrival.other(node)
-
-            engine._phase_trail_decay()
-            engine._phase_movement()
-            engine._entity_counts[engine.t] = np.bincount(
-                engine.loc, minlength=topo.node_count
-            )
-            engine.t += 1
 
 
 class TestMovementStreamIsolation:
