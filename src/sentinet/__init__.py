@@ -5,41 +5,10 @@ information protocols that steer them (deficiency notifications and traversal
 trails), and the uninformed and centralized baselines to compare them against.
 """
 
-from .cells import (
-    Cell,
-    CellKind,
-    MovementParams,
-    NotificationView,
-    decide_move,
-    movement_probability,
-    node_security,
-)
-from .engine import (
-    ConfigError,
-    Engine,
-    SimulationConfig,
-    plan_rebalance,
-    run,
-)
+from .engine import ConfigError, Engine, MovementParams, SimulationConfig, plan_rebalance, run
 from .metrics import MetricsReport
-from .notify import (
-    NotificationInbox,
-    NotificationPacket,
-    NotifyParams,
-    decay,
-    emit_deficiency,
-    flood_trace,
-    forward_step,
-)
-from .threat import (
-    Infection,
-    TrafficConfig,
-    TrafficPacket,
-    TrafficSource,
-    check_node,
-    inspect_packet,
-    packet_delivery_outcome,
-)
+from .notify import NotifyParams, flood_trace
+from .threat import Infection, TrafficConfig, TrafficPacket, TrafficSource
 from .topology import (
     Connection,
     NodeRole,
@@ -55,8 +24,6 @@ from .trails import TrailParams, TrailState, trail_decay, trail_increase
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cell",
-    "CellKind",
     "ConfigError",
     "Connection",
     "Engine",
@@ -64,9 +31,6 @@ __all__ = [
     "MetricsReport",
     "MovementParams",
     "NodeRole",
-    "NotificationInbox",
-    "NotificationPacket",
-    "NotificationView",
     "NotifyParams",
     "SimulationConfig",
     "Topology",
@@ -77,18 +41,9 @@ __all__ = [
     "TrafficSource",
     "TrailParams",
     "TrailState",
-    "check_node",
-    "decay",
-    "decide_move",
-    "emit_deficiency",
     "flood_trace",
-    "forward_step",
     "generate_topology",
-    "inspect_packet",
     "load_topology",
-    "movement_probability",
-    "node_security",
-    "packet_delivery_outcome",
     "plan_rebalance",
     "run",
     "save_topology",

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cells import MovementParams
 from .metrics import MetricsReport
-from .notify import NotifyParams
+from .notify import NotifyParams, relay
 from .threat import Infection, TrafficConfig, TrafficPacket, TrafficSource
 from .topology import NodeRole, Topology, TopologyConfig, TopologyError, generate_topology
 from .trails import TrailParams, TrailState
@@ -47,6 +46,26 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 
 
 STRATEGIES = ("uninformed", "notification", "trails", "protocols", "centralized")
+
+
+@dataclass
+class MovementParams:
+    """Clamped-linear response curve for the per-step move probability.
+
+    base_probability is the resting affinity to move, gain scales the response
+    to a reported security shortfall, max_probability caps the response so the
+    whole population never stampedes at once.
+    """
+
+    base_probability: float = 0.1
+    gain: float = 0.05
+    max_probability: float = 0.8
+
+    def validate(self) -> None:
+        if not 0.0 <= self.base_probability <= self.max_probability <= 1.0:
+            raise ValueError("need 0 <= base_probability <= max_probability <= 1")
+        if not 0.0 <= self.gain < math.inf:
+            raise ValueError("gain must be finite and non-negative")
 
 
 @dataclass
@@ -241,11 +260,8 @@ class Engine:
         self._rng_selection = _substream(config.seed, _STREAM_SELECTION)
 
         # Notification state: the strongest packet delivered to each node this
-        # step (value 0 marks none). _prev_* is what arrived last step and is
-        # what gets relayed this step; nothing persists beyond that.
-        self._prev_value = np.zeros(n, dtype=np.float64)
-        self._prev_origin = np.zeros(n, dtype=np.int64)
-        self._prev_link = np.full(n, -1, dtype=np.int64)
+        # step (value 0 marks none). It is what gets relayed next step; nothing
+        # persists beyond that.
         self.notif_value = np.zeros(n, dtype=np.float64)
         self.notif_from = np.full(n, -1, dtype=np.int64)
         self._notif_origin = np.zeros(n, dtype=np.int64)
@@ -378,57 +394,13 @@ class Engine:
         """Forward last step's packets plus fresh emissions, deliver at once."""
         if not self.notification_on:
             return
-        topo = self.topology
-        params = self.config.notify_params
-        indptr, links, neigh = topo.adj_indptr, topo.adj_links, topo.adj_neighbors
-        new_value = np.zeros_like(self.notif_value)
-        new_from = np.full_like(self.notif_from, -1)
-        new_origin = np.zeros_like(self._notif_origin)
-        new_link = np.full_like(self._notif_link, -1)
-
-        active = set(np.nonzero(self._prev_value > 0)[0].tolist())
-        active |= set(np.nonzero(self.lacking > 0)[0].tolist())
-        sent = 0
-        loads: dict[tuple[int, bool], int] = {}
-        for node in active:
-            own = float(self.lacking[node])
-            relayed = float(self._prev_value[node])
-            if own > 0 and (params.own_emission_wins or relayed <= own):
-                value, origin, exclude = own, node, -1
-            elif relayed > 0:
-                value = relayed - 1.0
-                if value <= params.forward_threshold:
-                    continue
-                origin, exclude = int(self._prev_origin[node]), int(self._prev_link[node])
-            else:
-                continue
-            for k in range(int(indptr[node]), int(indptr[node + 1])):
-                link = int(links[k])
-                if link == exclude:
-                    continue
-                receiver = int(neigh[k])
-                sent += 1
-                self._notif_per_connection[link] += 1
-                direction = (link, node < receiver)
-                loads[direction] = loads.get(direction, 0) + 1
-                better = value > new_value[receiver] or (
-                    value == new_value[receiver]
-                    and (origin, link) < (int(new_origin[receiver]), int(new_link[receiver]))
-                )
-                if better:
-                    new_value[receiver] = value
-                    new_origin[receiver] = origin
-                    new_link[receiver] = link
-                    new_from[receiver] = node
-
+        self.notif_value, self._notif_origin, self._notif_link, self.notif_from, sent, load = relay(
+            self.topology, self.config.notify_params, self.lacking, self.notif_value,
+            self._notif_origin, self._notif_link, self._notif_per_connection,
+        )
         self._notif_sent[self.t] = sent
         self.notification_packets_total += sent
-        if loads:
-            self.max_link_load = max(self.max_link_load, max(loads.values()))
-        self._prev_value, self.notif_value = new_value, new_value
-        self._prev_origin, self._notif_origin = new_origin, new_origin
-        self._prev_link, self._notif_link = new_link, new_link
-        self.notif_from = new_from
+        self.max_link_load = max(self.max_link_load, load)
 
     def _phase_trail_decay(self) -> None:
         if self.trail_state is not None:

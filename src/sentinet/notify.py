@@ -11,21 +11,11 @@ is stored between steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
-from .topology import Connection, Topology
+import numpy as np
 
-
-@dataclass(frozen=True)
-class NotificationPacket:
-    origin: int
-    value: float
-    arrival: Connection | None = None
-
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ValueError("notification packets must carry a positive value")
+from .topology import Topology
 
 
 @dataclass
@@ -41,83 +31,65 @@ class NotifyParams:
             raise ValueError("forward_threshold must be finite and non-negative")
 
 
-def _packet_order(packet: NotificationPacket) -> tuple[float, int, int]:
-    link = packet.arrival.link_id if packet.arrival is not None else -1
-    return (-packet.value, packet.origin, link)
+def relay(
+    topology: Topology,
+    params: NotifyParams,
+    lacking: np.ndarray,
+    value: np.ndarray,
+    origin: np.ndarray,
+    link: np.ndarray,
+    per_connection: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """One synchronous step of the protocol over the whole graph.
 
-
-@dataclass
-class NotificationInbox:
-    """Packets a node received this timestep. Cleared every step."""
-
-    packets: list[NotificationPacket] = field(default_factory=list)
-
-    def add(self, packet: NotificationPacket) -> None:
-        self.packets.append(packet)
-
-    @property
-    def best(self) -> NotificationPacket | None:
-        """Highest value; ties go to the lower origin id, then lower link id."""
-        if not self.packets:
-            return None
-        return min(self.packets, key=_packet_order)
-
-    def clear(self) -> None:
-        self.packets.clear()
-
-
-def emit_deficiency(node: int, security_level: float, min_security: float) -> NotificationPacket | None:
-    """A packet carrying the missing amount, or None when security suffices."""
-    if security_level < 0 or min_security < 0:
-        raise ValueError("security levels must be non-negative")
-    if min_security > security_level:
-        return NotificationPacket(origin=node, value=min_security - security_level)
-    return None
-
-
-def decay(value: float) -> float:
-    """Per-hop decrement applied when a packet is relayed."""
-    if value <= 0:
-        raise ValueError("only positive values are relayed")
-    return value - 1.0
-
-
-def forward_step(
-    node: int,
-    neighbors: Sequence[tuple[Connection, int]],
-    inbox: NotificationInbox,
-    own_emission: NotificationPacket | None,
-    params: NotifyParams | None = None,
-) -> list[tuple[Connection, NotificationPacket]]:
-    """Sends this node produces this step: at most one packet per link.
-
-    An own emission goes out undecayed on every link. A relayed packet goes
-    out decremented on every link except the one it arrived on, and only if
-    the decremented value still clears the forwarding threshold.
+    `lacking` holds each node's fresh deficiency; `value`, `origin` and `link`
+    the strongest packet each node received last step (value 0 marks none).
+    Returns the strongest packet each node receives now as (value, origin,
+    link, sender) arrays, ties going to the lower origin and then link, plus
+    the packets sent and the peak load on one link direction.
+    `per_connection` counts the packets sent over each link, in place.
     """
-    params = params or NotifyParams()
-    candidate = own_emission
-    relayed = inbox.best
-    if candidate is None:
-        candidate = relayed
-    elif not params.own_emission_wins and relayed is not None and relayed.value > candidate.value:
-        candidate = relayed
-    if candidate is None:
-        return []
+    indptr, links, neigh = topology.adj_indptr, topology.adj_links, topology.adj_neighbors
+    new_value = np.zeros_like(value)
+    new_from = np.full_like(link, -1)
+    new_origin = np.zeros_like(origin)
+    new_link = np.full_like(link, -1)
 
-    sends: list[tuple[Connection, NotificationPacket]] = []
-    if candidate is own_emission and candidate.arrival is None:
-        for conn, _ in neighbors:
-            sends.append((conn, NotificationPacket(candidate.origin, candidate.value, conn)))
-        return sends
-    forwarded = decay(candidate.value)
-    if forwarded <= params.forward_threshold:
-        return []
-    for conn, _ in neighbors:
-        if candidate.arrival is not None and conn.link_id == candidate.arrival.link_id:
+    active = set(np.nonzero(value > 0)[0].tolist())
+    active |= set(np.nonzero(lacking > 0)[0].tolist())
+    sent = 0
+    loads: dict[tuple[int, bool], int] = {}
+    for node in active:
+        own = float(lacking[node])
+        relayed = float(value[node])
+        if own > 0 and (params.own_emission_wins or relayed <= own):
+            out_value, out_origin, exclude = own, node, -1
+        elif relayed > 0:
+            out_value = relayed - 1.0
+            if out_value <= params.forward_threshold:
+                continue
+            out_origin, exclude = int(origin[node]), int(link[node])
+        else:
             continue
-        sends.append((conn, NotificationPacket(candidate.origin, forwarded, conn)))
-    return sends
+        for k in range(int(indptr[node]), int(indptr[node + 1])):
+            via = int(links[k])
+            if via == exclude:
+                continue
+            receiver = int(neigh[k])
+            sent += 1
+            per_connection[via] += 1
+            direction = (via, node < receiver)
+            loads[direction] = loads.get(direction, 0) + 1
+            better = out_value > new_value[receiver] or (
+                out_value == new_value[receiver]
+                and (out_origin, via) < (int(new_origin[receiver]), int(new_link[receiver]))
+            )
+            if better:
+                new_value[receiver] = out_value
+                new_origin[receiver] = out_origin
+                new_link[receiver] = via
+                new_from[receiver] = node
+    return new_value, new_origin, new_link, new_from, sent, max(loads.values(), default=0)
 
 
 def flood_trace(
@@ -133,37 +105,27 @@ def flood_trace(
     packets sent per step). The emitting step counts as step 1, so a node at
     hop distance d first hears the news at step d.
     """
+    if value <= 0:
+        raise ValueError("notification packets must carry a positive value")
     params = params or NotifyParams()
-    inboxes = [NotificationInbox() for _ in range(topology.node_count)]
+    n = topology.node_count
+    lacking = np.zeros(n)
+    lacking[origin] = value
+    heard = (np.zeros(n), np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int64))
+    per_connection = np.zeros(len(topology.edges), dtype=np.int64)
     arrival_step: dict[int, int] = {}
     arrival_value: dict[int, float] = {}
     per_step: list[int] = []
-    own: NotificationPacket | None = NotificationPacket(origin, value)
-    limit = max_steps if max_steps is not None else topology.node_count + int(value) + 2
+    limit = max_steps if max_steps is not None else n + int(value) + 2
     for step_index in range(1, limit + 1):
-        sends: list[tuple[int, Connection, NotificationPacket]] = []
-        for node in range(topology.node_count):
-            emission = own if node == origin else None
-            if emission is None and not inboxes[node].packets:
-                continue
-            for conn, packet in forward_step(
-                node, topology.neighbors(node), inboxes[node], emission, params
-            ):
-                sends.append((node, conn, packet))
-        own = None
-        for box in inboxes:
-            box.clear()
-        for sender, conn, packet in sends:
-            receiver = conn.other(sender)
-            inboxes[receiver].add(packet)
-            if receiver == origin:
-                continue  # the source knew at emission; echoes are not news
-            if receiver not in arrival_step:
-                arrival_step[receiver] = step_index
-                arrival_value[receiver] = packet.value
-            elif arrival_step[receiver] == step_index:
-                arrival_value[receiver] = max(arrival_value[receiver], packet.value)
-        per_step.append(len(sends))
-        if not sends:
+        *heard, _, sent, _ = relay(topology, params, lacking, *heard, per_connection)
+        lacking[origin] = 0.0
+        for node in np.flatnonzero(heard[0] > 0).tolist():
+            # The source knew at emission; echoes are not news.
+            if node != origin and node not in arrival_step:
+                arrival_step[node] = step_index
+                arrival_value[node] = float(heard[0][node])
+        per_step.append(sent)
+        if not sent:
             break
     return arrival_step, arrival_value, per_step

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .cells import MovementParams
-from .engine import STRATEGIES, ConfigError, SimulationConfig
+from .engine import STRATEGIES, ConfigError, MovementParams, SimulationConfig
 from .notify import NotifyParams
 from .threat import TrafficConfig
 from .topology import NodeRole, TopologyConfig

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .cells import Cell, CellKind
 from .topology import NodeRole, Topology
 
 
@@ -152,46 +150,3 @@ class TrafficSource:
             direct.append(DirectInfection(node=node, intrusion=intrusion))
         return packets, direct
 
-
-def inspect_packet(packet: TrafficPacket, resident_cells: Iterable[Cell]) -> bool:
-    """True when the packet carries an intrusion some local packet checker knows."""
-    if packet.payload is None:
-        return False
-    return any(
-        c.kind is CellKind.PACKET_CHECKER and c.cell_type == packet.payload
-        for c in resident_cells
-    )
-
-
-def packet_delivery_outcome(
-    packet: TrafficPacket,
-    detected: bool,
-    active_infections: dict[tuple[int, int], Infection],
-    timestep: int,
-) -> Infection | None:
-    """Resolve a packet at its destination; clean or caught packets vanish.
-
-    A surviving infected packet installs an infection, unless the same
-    (node, intrusion) pair is already active, which is kept unchanged.
-    """
-    if not packet.at_destination:
-        raise ValueError("packet has not reached its destination")
-    if detected or packet.payload is None:
-        return None
-    key = (packet.destination, packet.payload)
-    if key in active_infections:
-        return None
-    infection = Infection(packet.destination, packet.payload, timestep)
-    active_infections[key] = infection
-    return infection
-
-
-def check_node(
-    cell: Cell, node: int, active_infections: dict[tuple[int, int], Infection]
-) -> list[Infection]:
-    """Clear and return the node's infections matching the checker's type."""
-    if cell.kind is not CellKind.NODE_CHECKER:
-        raise ValueError("only node checkers perform node checks")
-    key = (node, cell.cell_type)
-    found = active_infections.pop(key, None)
-    return [found] if found is not None else []

@@ -89,13 +89,6 @@ class TrailState:
                 return k
         raise ValueError(f"link {connection.link_id} does not leave node {node}")
 
-    def value(self, node: int, connection: Connection, cell_type: int) -> float:
-        return float(self.values[self.slot(node, connection), cell_type])
-
-    def node_values(self, node: int, cell_type: int) -> np.ndarray:
-        start, end = int(self._indptr[node]), int(self._indptr[node + 1])
-        return self.values[start:end, cell_type]
-
     def set_bridge_fallback(self, nodes: list[int], enabled: bool = True) -> None:
         for node in nodes:
             self.bridge_fallback[node] = enabled

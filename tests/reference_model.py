@@ -1,19 +1,18 @@
 """Plain-Python reference model of a whole run: the oracle for `Engine`.
 
-Cells live in per-node lists, notifications in per-node inboxes, trails in a
-dict and infections in a dict. Each rule is one small scalar function, and
-`ReferenceModel` steps them one cell, packet or link at a time, in the
-engine's phase order and on the engine's three RNG substreams in its draw
-order. It shares with the package only the traffic generator, the trail
-increase law, the config and report dataclasses and the seed-to-substream
-rule, so stepping it beside `Engine` checks every vectorized phase.
+Cells live in per-node lists, notifications in per-node inboxes, trails and
+infections in dicts. Each rule is one small scalar function; `ReferenceModel`
+steps them one object at a time in the engine's phase order, on the engine's
+three RNG substreams in its draw order. It shares with the package only the
+traffic generator, the trail increase law, the config and report dataclasses
+and the seed-to-substream rule.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +42,13 @@ def movement_probability(params, lacking: float) -> float:
     return min(params.base_probability + params.gain * lacking, params.max_probability)
 
 
-def decide_move(cell, params, here_lacking, neighbors, best, trail_pick, rng) -> Connection | None:
-    """One movement decision: the link to follow, or None to stay.
+def decide_move(cell, params, here_lacking, neighbors, best, trail_pick, uniform) -> Connection | None:
+    """The link to follow, or None to stay. `uniform()` is the next draw.
 
-    A packet checker stays at a node lacking security. Otherwise it moves with
-    the probability the strongest notification here asks for (the resting rate
-    without one), back along that notification's arrival link or, with none,
-    to a uniform neighbor. A node checker follows `trail_pick` when given, and
-    otherwise moves to a uniform neighbor at the resting rate.
+    A packet checker stays at a node lacking security, else moves at the rate
+    the strongest notification here asks for (the resting rate without one):
+    back along its arrival link, or with none to a uniform neighbor. A node
+    checker follows `trail_pick()` when given, else wanders at the resting rate.
     """
     if not neighbors:
         return None
@@ -58,16 +56,16 @@ def decide_move(cell, params, here_lacking, neighbors, best, trail_pick, rng) ->
         if here_lacking > 0:
             return None
         value = best.value if best is not None else 0.0
-        if rng.random() >= movement_probability(params, value):
+        if uniform() >= movement_probability(params, value):
             return None
         if best is not None:
             return best.arrival
     elif trail_pick is not None:
-        return trail_pick(rng)
-    elif rng.random() >= params.base_probability:
+        return trail_pick()
+    elif uniform() >= params.base_probability:
         return None
     # floor(u * n) maps one uniform draw onto the neighbor index.
-    return neighbors[int(rng.random() * len(neighbors))][0]
+    return neighbors[int(uniform() * len(neighbors))][0]
 
 
 @dataclass(frozen=True)
@@ -76,24 +74,11 @@ class NotificationPacket:
     value: float
     arrival: Connection | None = None  # None: the sender's own fresh emission
 
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ValueError("notification packets must carry a positive value")
 
-
-@dataclass
-class NotificationInbox:
-    """Packets a node received in one step."""
-
-    packets: list[NotificationPacket] = field(default_factory=list)
-
-    def add(self, packet: NotificationPacket) -> None:
-        self.packets.append(packet)
-
-    @property
-    def best(self) -> NotificationPacket | None:
-        """Highest value; ties go to the lower origin id, then lower link id."""
-        return min(self.packets, key=lambda p: (-p.value, p.origin, p.arrival.link_id), default=None)
+def best(inbox: list[NotificationPacket]) -> NotificationPacket | None:
+    """The strongest packet of an inbox: highest value, ties to the lower
+    origin id, then the lower link id."""
+    return min(inbox, key=lambda p: (-p.value, p.origin, p.arrival.link_id), default=None)
 
 
 def emit_deficiency(node: int, security_level: float, min_security: float) -> NotificationPacket | None:
@@ -120,10 +105,8 @@ def forward_step(node, neighbors, inbox, own_emission, params=None):
     on every link but the one it arrived on, while it clears the threshold.
     """
     params = params or NotifyParams()
-    candidate, relayed = own_emission, inbox.best
-    if candidate is None or (
-        not params.own_emission_wins and relayed is not None and relayed.value > candidate.value
-    ):
+    candidate, relayed = own_emission, best(inbox)
+    if candidate is None or (not params.own_emission_wins and relayed and relayed.value > candidate.value):
         candidate = relayed
     if candidate is None:
         return []
@@ -140,15 +123,16 @@ def forward_step(node, neighbors, inbox, own_emission, params=None):
 
 
 def relay_step(topology, inboxes, emissions, params):
-    """One synchronous step of every node: (next inboxes, [(sender, link, packet)])."""
+    """Every node's sends in one step, from inboxes (lists of packets) to the
+    next inboxes: returns (next inboxes, [(sender, link, packet)])."""
     sends = [
         (node, conn, packet)
-        for node in range(topology.node_count)
-        for conn, packet in forward_step(node, topology.neighbors(node), inboxes[node], emissions[node], params)
+        for node, (inbox, own) in enumerate(zip(inboxes, emissions))
+        for conn, packet in forward_step(node, topology.neighbors(node), inbox, own, params)
     ]
-    delivered = [NotificationInbox() for _ in range(topology.node_count)]
+    delivered = [[] for _ in range(topology.node_count)]
     for sender, conn, packet in sends:
-        delivered[conn.other(sender)].add(packet)
+        delivered[conn.other(sender)].append(packet)
     return delivered, sends
 
 
@@ -207,83 +191,52 @@ def reference_plan_rebalance(counts, required):
         moves.append((src, dst, amount))
 
 
-class _Replay:
-    """Hands `decide_move` the uniforms the engine drew for one cell."""
-
-    def __init__(self, *draws):
-        self._draws = iter(draws)
-
-    def random(self):
-        return next(self._draws)
-
-
 class ReferenceModel:
     """One run of `config` on `topology`, one object at a time."""
 
     def __init__(self, config, topology):
         self.config, self.topology, self.t = config, topology, 0
-        n, strategy = topology.node_count, config.strategy
-        self.notification_on = strategy in ("notification", "protocols")
-        self.trails_on = strategy in ("trails", "protocols")
-        self.centralized = strategy == "centralized"
+        n = topology.node_count
+        self.notification_on = config.strategy in ("notification", "protocols")
+        self.trails_on = config.strategy in ("trails", "protocols")
+        self.centralized = config.strategy == "centralized"
         self.min_security = [
             config.min_security_by_node.get(v, config.min_security_by_role.get(role, config.min_security))
             for v, role in enumerate(topology.roles)
         ]
-        # Cell ids: packet checkers type-major, then node checkers.
-        self.cells = [
-            Cell(0, ctype, kind, 0)
-            for kind, per_type in (
-                (PACKET_CHECKER, config.packet_checkers_per_type),
-                (NODE_CHECKER, config.node_checkers_per_type),
-            )
-            for ctype in range(1, config.cell_types + 1)
-            for _ in range(per_type)
-        ]
-        self.n_pc = config.cell_types * config.packet_checkers_per_type
         start = config.start_nodes
         if start is None and config.start_fragment is not None:
             start = [v for v in range(n) if topology.fragment_of[v] == config.start_fragment]
         if start is None:
             start = list(range(n))
+        # Cell ids: packet checkers type-major, then node checkers.
+        types = range(1, config.cell_types + 1)
+        specs = [(PACKET_CHECKER, t) for t in types for _ in range(config.packet_checkers_per_type)]
+        specs += [(NODE_CHECKER, t) for t in types for _ in range(config.node_checkers_per_type)]
+        self.cells = [Cell(i, t, kind, start[i % len(start)]) for i, (kind, t) in enumerate(specs)]
+        self.n_pc = config.cell_types * config.packet_checkers_per_type
         self.cells_at = [[] for _ in range(n)]
-        for cid, cell in enumerate(self.cells):
-            cell.cell_id, cell.location = cid, start[cid % len(start)]
+        for cell in self.cells:
             self.cells_at[cell.location].append(cell)
 
-        bridge_ends = {v for conn in topology.bridge_edges for v in conn.endpoints()}
-        self.fallback = bridge_ends if config.bridge_fallback else set()
-        self.fade = [
-            config.bridge_decay_step
-            if v in bridge_ends and config.bridge_decay_step is not None
-            else config.trail_params.decay_step
-            for v in range(n)
-        ]
+        self.bridge_ends = {v for conn in topology.bridge_edges for v in conn.endpoints()}
         self.trails: dict[tuple[int, int, int], float] = {}  # (node, link, type) -> value
-        self.inboxes = [NotificationInbox() for _ in range(n)]
+        self.inboxes = [[] for _ in range(n)]
         self.infections: dict[tuple[int, int], Infection] = {}
         self.source = TrafficSource(config.traffic, topology, config.cell_types)
         self.in_flight = []
-        self.rng_traffic, self.rng_movement, self.rng_selection = (
-            _substream(config.seed, index) for index in (1, 2, 3)
-        )
-        self.gateway_hops = {topology.gateway: 0}
-        frontier = [topology.gateway]
-        for v in frontier:  # breadth-first: the list grows while it is read
-            for _, w in topology.neighbors(v):
-                if w not in self.gateway_hops:
-                    self.gateway_hops[w] = self.gateway_hops[v] + 1
-                    frontier.append(w)
+        streams = (_substream(config.seed, index) for index in (1, 2, 3))  # traffic, movement, selection
+        self.rng_traffic, self.rng_movement, self.rng_selection = streams
+        self.gateway_hops = topology.hop_distances(topology.gateway)
 
-        self.delivered = self.delivered_infected = self.created = self.cleared = 0
-        self.bandwidth, self.max_load = 0.0, 0
+        self.delivered_infected = self.created = self.cleared = self.max_load = 0
+        self.bandwidth = 0.0
         self.per_connection = [0] * len(topology.edges)
-        self.series = {name: [] for name in ("deficiency", "sent", "detections", "introduced", "entities")}
-        self.checks: list[tuple[int, int, int]] = []
-
-    @property
-    def loc(self) -> np.ndarray:
-        return np.array([cell.location for cell in self.cells])
+        # Per-step records, named as the report fields they become.
+        self.series = {name: [] for name in (
+            "deficiency_series", "notification_series", "detections_series", "introduced_series",
+            "entity_counts", "check_times", "check_nodes", "check_types",
+        )}  # fmt: skip
 
     def _move(self, cell, node):
         self.cells_at[cell.location].remove(cell)
@@ -291,15 +244,11 @@ class ReferenceModel:
         cell.location = node
 
     def _trail_pick(self, node, ctype):
-        neighbors = self.topology.neighbors(node)
-
-        def pick(rng):
-            if node in self.fallback:
-                return neighbors[int(rng.integers(0, len(neighbors)))][0]
-            values = [self.trails.get((node, conn.link_id, ctype), 0.0) for conn, _ in neighbors]
-            return neighbors[roulette_pick(values, rng)][0]
-
-        return pick
+        neighbors, rng = self.topology.neighbors(node), self.rng_selection
+        if self.config.bridge_fallback and node in self.bridge_ends:
+            return lambda: neighbors[int(rng.integers(0, len(neighbors)))][0]
+        values = [self.trails.get((node, conn.link_id, ctype), 0.0) for conn, _ in neighbors]
+        return lambda: neighbors[roulette_pick(values, rng)][0]
 
     def step(self):
         t, config, topo, series = self.t, self.config, self.topology, self.series
@@ -307,60 +256,62 @@ class ReferenceModel:
         for packet in self.in_flight:
             packet.position += 1
         new, direct = self.source.generate(t, self.rng_traffic)
-        series["introduced"].append(sum(p.payload is not None for p in new))
+        series["introduced_series"].append(sum(p.payload is not None for p in new))
         detected, survivors = 0, []
         for packet in self.in_flight + new:
             if inspect_packet(packet, self.cells_at[packet.current_node]):
                 detected += 1
             elif packet.at_destination:
-                self.delivered += 1
                 if packet.payload is not None:
                     self.delivered_infected += 1
                     self.created += packet_delivery_outcome(packet, False, self.infections, t) is not None
             else:
                 survivors.append(packet)
         self.in_flight = survivors
-        series["detections"].append(detected)
+        series["detections_series"].append(detected)
         for event in direct:
             if (event.node, event.intrusion) not in self.infections:
                 self.infections[(event.node, event.intrusion)] = Infection(event.node, event.intrusion, t)
                 self.created += 1
         # (2) node checks
         for cell in self.cells[self.n_pc :]:
-            self.checks.append((t, cell.location, cell.cell_type))
+            series["check_times"].append(t)
+            series["check_nodes"].append(cell.location)
+            series["check_types"].append(cell.cell_type)
             self.cleared += len(check_node(cell, cell.location, self.infections))
         # (3) security and deficiency
         security = [node_security(cells, config.security_value) for cells in self.cells_at]
         lacking = [max(need - have, 0.0) for need, have in zip(self.min_security, security)]
-        series["deficiency"].append(sum(x > 0 for x in lacking))
+        series["deficiency_series"].append(sum(x > 0 for x in lacking))
         # (4) notification relay
         sends = []
         if self.notification_on:
-            emissions = [emit_deficiency(v, s, m) for v, (s, m) in enumerate(zip(security, self.min_security))]
+            emissions = [emit_deficiency(v, security[v], self.min_security[v]) for v in range(len(security))]
             self.inboxes, sends = relay_step(topo, self.inboxes, emissions, config.notify_params)
-        series["sent"].append(len(sends))
+        series["notification_series"].append(len(sends))
         for _, conn, _ in sends:
             self.per_connection[conn.link_id] += 1
         self.max_load = max(self.max_load, *Counter((c.link_id, s) for s, c, _ in sends).values(), 0)
         # (5) trail fade
         if self.trails_on:
-            for key, value in self.trails.items():
-                self.trails[key] = max(0.0, value - self.fade[key[0]])
+            for (node, link, ctype), value in self.trails.items():
+                fade = config.bridge_decay_step if node in self.bridge_ends else None
+                self.trails[(node, link, ctype)] = max(0.0, value - (fade or config.trail_params.decay_step))
         # (6) movement: packet checkers, then node checkers, then the manager
         params = config.movement
         u_move, u_dest = self.rng_movement.random(self.n_pc), self.rng_movement.random(self.n_pc)
         for cell in self.cells[: self.n_pc]:
             here = cell.location
-            best = self.inboxes[here].best if self.notification_on else None
+            strongest = best(self.inboxes[here]) if self.notification_on else None
             pinned = lacking[here] if self.notification_on else 0.0
-            draws = _Replay(u_move[cell.cell_id], u_dest[cell.cell_id])
-            conn = decide_move(cell, params, pinned, topo.neighbors(here), best, None, draws)
+            draws = iter((u_move[cell.cell_id], u_dest[cell.cell_id])).__next__
+            conn = decide_move(cell, params, pinned, topo.neighbors(here), strongest, None, draws)
             if conn is not None:
                 self._move(cell, conn.other(here))
         for cell in self.cells[self.n_pc :]:
             here, ctype = cell.location, cell.cell_type
             pick = self._trail_pick(here, ctype) if self.trails_on else None
-            conn = decide_move(cell, params, 0.0, topo.neighbors(here), None, pick, self.rng_selection)
+            conn = decide_move(cell, params, 0.0, topo.neighbors(here), None, pick, self.rng_selection.random)
             if conn is None:
                 continue
             if self.trails_on:
@@ -368,30 +319,27 @@ class ReferenceModel:
                 self.trails[key] = trail_increase(self.trails.get(key, 0.0), config.trail_params)
             self._move(cell, conn.other(here))
         if self.centralized:
-            pools = [sorted((c for c in cells if c.kind == PACKET_CHECKER), key=lambda c: c.cell_id) for cells in self.cells_at]
-            counts = np.array([len(pool) for pool in pools])
+            pools = [[c for c in cells if c.kind == PACKET_CHECKER] for cells in self.cells_at]
+            pools = [sorted(pool, key=lambda c: c.cell_id) for pool in pools]
             required = np.array(self.min_security) / config.security_value
-            for src, dst, amount in reference_plan_rebalance(counts, required):
+            for src, dst, amount in reference_plan_rebalance(np.array([len(p) for p in pools]), required):
                 chosen, pools[src] = pools[src][:amount], pools[src][amount:]
                 for cell in chosen:
                     self._move(cell, dst)
                 pools[dst] += chosen
-                self.bandwidth += amount * 2.0 * self.gateway_hops[src]
-        series["entities"].append([len(cells) for cells in self.cells_at])
+                self.bandwidth += amount * 2.0 * int(self.gateway_hops[src])
+        series["entity_counts"].append([len(cells) for cells in self.cells_at])
         self.t += 1
 
     def report(self) -> MetricsReport:
-        config, series = self.config, self.series
-        checks = np.array(self.checks, dtype=np.int64).reshape(-1, 3)
-        sent = sum(series["sent"])
+        series = {name: np.array(values, dtype=np.int64) for name, values in self.series.items()}
+        sent = int(series["notification_series"].sum())
+        config = self.config
         return MetricsReport(
-            duration=config.duration,
-            node_count=self.topology.node_count,
-            cell_types=config.cell_types,
-            strategy=config.strategy,
-            seed=config.seed,
-            detected_packets=sum(series["detections"]),
-            introduced_packets=sum(series["introduced"]),
+            duration=config.duration, node_count=self.topology.node_count, cell_types=config.cell_types,
+            strategy=config.strategy, seed=config.seed,
+            detected_packets=int(series["detections_series"].sum()),
+            introduced_packets=int(series["introduced_series"].sum()),
             delivered_infected=self.delivered_infected,
             infections_created=self.created,
             infections_cleared=self.cleared,
@@ -399,14 +347,7 @@ class ReferenceModel:
             control_bandwidth=self.bandwidth if self.centralized else float(sent),
             notification_packets_total=sent,
             max_link_load=self.max_load,
-            deficiency_series=np.array(series["deficiency"]),
-            notification_series=np.array(series["sent"]),
             notification_per_connection=np.array(self.per_connection),
-            detections_series=np.array(series["detections"]),
-            introduced_series=np.array(series["introduced"]),
-            entity_counts=np.array(series["entities"]),
-            check_times=checks[:, 0],
-            check_nodes=checks[:, 1],
-            check_types=checks[:, 2],
             coverage_window=config.default_coverage_window(),
+            **series,
         )

