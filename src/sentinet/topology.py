@@ -316,34 +316,47 @@ def generate_topology(config: TopologyConfig) -> Topology:
 
 
 def save_topology(topology: Topology, path: str | Path) -> None:
-    """Write the structured text form: header, node lines, edge lines."""
+    """Write the structured text form: header, node lines with role and
+    fragment, edge lines, then the bridge lines."""
     lines = [f"nodes {topology.node_count}"]
     for node, role in enumerate(topology.roles):
-        lines.append(f"node {node} {role.value}")
-    for conn in topology.edges:
-        lines.append(f"edge {conn.u} {conn.v}")
+        lines.append(f"node {node} {role.value} {topology.fragment_of[node]}")
+    lines += [f"edge {conn.u} {conn.v}" for conn in topology.edges]
+    lines += [f"bridge {conn.u} {conn.v}" for conn in topology.bridge_edges]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_topology(path: str | Path) -> Topology:
+    """Read `save_topology`'s form. A node line without a fragment is in
+    fragment 0, so files without fragments or bridges load as one fragment."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("nodes "):
         raise TopologyError(f"{path}: missing 'nodes <N>' header")
     count = int(lines[0].split()[1])
     roles: dict[int, NodeRole] = {}
-    pairs: list[tuple[int, int]] = []
+    fragments: dict[int, int] = {}
+    pairs: dict[str, list[tuple[int, int]]] = {"edge": [], "bridge": []}
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "node":
             roles[int(parts[1])] = NodeRole(parts[2])
-        elif parts[0] == "edge":
+            fragments[int(parts[1])] = int(parts[3]) if len(parts) > 3 else 0
+        elif parts[0] in pairs:
             u, v = int(parts[1]), int(parts[2])
-            pairs.append((min(u, v), max(u, v)))
+            pairs[parts[0]].append((min(u, v), max(u, v)))
         else:
             raise TopologyError(f"{path}: unrecognised line {line!r}")
     if sorted(roles) != list(range(count)):
         raise TopologyError(f"{path}: node ids are not dense 0..{count - 1}")
-    ordered = sorted(pairs)
-    edges = [Connection(i, u, v) for i, (u, v) in enumerate(ordered)]
-    return Topology(roles=[roles[v] for v in range(count)], edges=edges)
+    edges = [Connection(i, u, v) for i, (u, v) in enumerate(sorted(pairs["edge"]))]
+    by_pair = {conn.endpoints(): conn for conn in edges}
+    for pair in pairs["bridge"]:
+        if pair not in by_pair:
+            raise TopologyError(f"{path}: bridge {pair[0]} {pair[1]} is not an edge")
+    return Topology(
+        roles=[roles[v] for v in range(count)],
+        edges=edges,
+        bridge_edges=[by_pair[pair] for pair in pairs["bridge"]],
+        fragment_of=[fragments[v] for v in range(count)],
+    )

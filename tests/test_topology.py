@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from sentinet import (
     Connection,
+    Engine,
     NodeRole,
+    SimulationConfig,
     Topology,
     TopologyConfig,
     TopologyError,
@@ -187,16 +189,40 @@ def test_shortest_path_matches_bfs_distance_and_breaks_ties_low():
 
 
 def test_save_load_round_trip(tmp_path):
-    topo = generate_topology(TopologyConfig(node_count=60, fragment_count=2, seed=17))
+    topo = generate_topology(TopologyConfig(node_count=60, fragment_count=3, seed=5))
     path = tmp_path / "net.topo"
     save_topology(topo, path)
     loaded = load_topology(path)
     assert loaded.roles == topo.roles
-    assert [e.endpoints() for e in loaded.edges] == [e.endpoints() for e in topo.edges]
+    assert loaded.edges == topo.edges
+    assert loaded.bridge_edges == topo.bridge_edges and len(topo.bridge_edges) == 2
+    assert loaded.fragment_of == topo.fragment_of
     # Deterministic file body: saving the loaded copy reproduces the bytes.
     second = tmp_path / "net2.topo"
     save_topology(loaded, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_loaded_topology_keeps_fragment_remedies(tmp_path):
+    config = SimulationConfig(
+        topology=TopologyConfig(node_count=60, fragment_count=3, seed=5), cell_types=3,
+        strategy="trails", start_fragment=1, bridge_fallback=True, duration=80,
+    )
+    engine = Engine(config)
+    save_topology(engine.topology, tmp_path / "net.topo")
+    generated, loaded = engine.run(), Engine(config, topology=load_topology(tmp_path / "net.topo")).run()
+    assert loaded.summary() == generated.summary()
+    assert (loaded.entity_counts == generated.entity_counts).all()
+
+
+THREE_NODES = "nodes 3\nnode 0 gateway\nnode 1 router\nnode 2 router\nedge 0 1\n"
+
+
+def test_file_without_fragments_loads_as_one_fragment(tmp_path):
+    path = tmp_path / "old.topo"
+    path.write_text(THREE_NODES + "edge 1 2\n", encoding="utf-8")
+    loaded = load_topology(path)
+    assert loaded.fragment_of == [0, 0, 0] and loaded.bridge_edges == []
 
 
 def test_load_rejects_malformed_files(tmp_path):
@@ -208,3 +234,6 @@ def test_load_rejects_malformed_files(tmp_path):
     sparse.write_text("nodes 3\nnode 0 router\nnode 2 router\n", encoding="utf-8")
     with pytest.raises(TopologyError):
         load_topology(sparse)
+    bad.write_text(THREE_NODES + "bridge 1 2\n", encoding="utf-8")
+    with pytest.raises(TopologyError, match="bridge 1 2"):
+        load_topology(bad)
