@@ -5,8 +5,9 @@ deterministic text export, then builds a deliberately fragmented variant and
 demonstrates that removing the bridge splits it in two.
 """
 
-import io
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 from sentinet import TopologyConfig, generate_topology, save_topology
 
@@ -25,11 +26,11 @@ gateway_dist = topology.hop_distances(topology.gateway)
 print("network radius from gateway:", int(gateway_dist.max()))
 
 print("\nfirst lines of the text export:")
-buffer = io.StringIO()
-save_topology(topology, "/tmp/demo_net.topo")
-with open("/tmp/demo_net.topo", encoding="utf-8") as handle:
-    for line in list(handle)[:6]:
-        print("   ", line.rstrip())
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_net.topo"
+    save_topology(topology, path)
+    for line in path.read_text(encoding="utf-8").splitlines()[:6]:
+        print("   ", line)
 
 print("\n== fragmented variant ==")
 frag = generate_topology(
