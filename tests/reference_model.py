@@ -236,7 +236,7 @@ class ReferenceModel:
         self.series = {name: [] for name in (
             "deficiency_series", "notification_series", "detections_series", "introduced_series",
             "entity_counts", "check_times", "check_nodes", "check_types",
-        )}  # fmt: skip
+        )}
 
     def _move(self, cell, node):
         self.cells_at[cell.location].remove(cell)

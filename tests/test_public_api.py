@@ -8,7 +8,7 @@ PUBLIC_API = [
     "TopologyConfig", "TopologyError", "TrafficConfig", "TrafficPacket", "TrafficSource",
     "TrailParams", "TrailState", "flood_trace", "generate_topology", "load_topology",
     "plan_rebalance", "run", "save_topology", "trail_decay", "trail_increase",
-]  # fmt: skip
+]
 
 
 def test_all_pins_the_public_api():
