@@ -1,5 +1,6 @@
 """Engine behavior: phase order, determinism, conservation, baselines."""
 
+import copy
 import json
 import tempfile
 from dataclasses import fields, replace
@@ -9,7 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_model import ReferenceModel, reference_plan_rebalance
+from reference_model import (
+    PACKET_CHECKER,
+    Cell,
+    NotificationPacket,
+    ReferenceModel,
+    best,
+    decide_move,
+    emit_deficiency,
+    reference_plan_rebalance,
+    relay_step,
+)
 
 from sentinet import (
     ConfigError,
@@ -427,6 +438,78 @@ class TestEngineMatchesReferenceModel:
     def test_every_strategy_matches_step_by_step(self, config):
         for strategy in STRATEGIES:
             assert_matches_reference(replace(config, strategy=strategy))
+
+
+def run_phases_before_movement(engine: Engine) -> None:
+    engine._phase_traffic()
+    engine._phase_node_checks()
+    engine._phase_security()
+    engine._phase_relay()
+    engine._phase_trail_decay()
+
+
+def finish_step(engine: Engine) -> None:
+    engine._entity_counts[engine.t] = np.bincount(engine.loc, minlength=engine.topology.node_count)
+    engine.t += 1
+
+
+class TestVectorizedMovementMatchesPerCellDecision:
+    @pytest.mark.parametrize("strategy", ["uninformed", "notification"])
+    def test_engine_movement_equals_decide_move(self, strategy):
+        config = small_config(strategy=strategy, duration=30, seed=11)
+        engine = Engine(config)
+        topo, informed = engine.topology, engine.notification_on
+        for _ in range(12):
+            run_phases_before_movement(engine)
+            before, lacking = engine.loc[: engine.n_pc].copy(), engine.lacking.copy()
+            notif_value, notif_from = engine.notif_value.copy(), engine.notif_from.copy()
+            rng_copy = copy.deepcopy(engine._rng_movement)
+            engine._move_packet_checkers()
+
+            u_move, u_dest = rng_copy.random(engine.n_pc), rng_copy.random(engine.n_pc)
+            for cid in range(engine.n_pc):
+                here = int(before[cid])
+                cell = Cell(cid, int(engine.cell_type[cid]), PACKET_CHECKER, here)
+                strongest = None
+                if informed and notif_value[here] > 0:
+                    arrival = topo.connection_between(here, int(notif_from[here]))
+                    strongest = NotificationPacket(-1, float(notif_value[here]), arrival)
+                draws = iter((u_move[cid], u_dest[cid])).__next__
+                pinned = float(lacking[here]) if informed else 0.0
+                chosen = decide_move(cell, config.movement, pinned, topo.neighbors(here), strongest, None, draws)
+                expected = here if chosen is None else chosen.other(here)
+                assert int(engine.loc[cid]) == expected, f"cell {cid} diverged"
+            finish_step(engine)
+
+
+class TestEngineRelayMatchesProtocolFunctions:
+    def test_array_relay_equals_forward_step_delivery(self):
+        config = small_config(strategy="notification", min_security=3.0, duration=25, seed=21)
+        engine = Engine(config)
+        topo = engine.topology
+        inboxes = [[] for _ in range(topo.node_count)]
+        for _ in range(25):
+            engine._phase_traffic()
+            engine._phase_node_checks()
+            engine._phase_security()
+            emissions = [
+                emit_deficiency(v, 0.0, float(lacking)) for v, lacking in enumerate(engine.lacking)
+            ]
+            inboxes, _ = relay_step(topo, inboxes, emissions, config.notify_params)
+
+            engine._phase_relay()
+            for node, inbox in enumerate(inboxes):
+                strongest = best(inbox)
+                if strongest is None:
+                    assert engine.notif_value[node] == 0.0
+                else:
+                    assert engine.notif_value[node] == strongest.value
+                    assert engine._notif_origin[node] == strongest.origin
+                    assert engine._notif_link[node] == strongest.arrival.link_id
+                    assert engine.notif_from[node] == strongest.arrival.other(node)
+            engine._phase_trail_decay()
+            engine._phase_movement()
+            finish_step(engine)
 
 
 class TestConfigWiring:
