@@ -1,10 +1,12 @@
 """Scenario file parsing and the command line interface."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from sentinet import Engine, load_topology
 from sentinet.cli import main
 from sentinet.engine import ConfigError
 from sentinet.scenario import load_scenario
@@ -139,7 +141,17 @@ class TestCli:
         )
         assert code == 0
         assert (out / "traffic.csv").read_text(encoding="utf-8").startswith("t,packet_id")
-        assert (out / "trails.csv").exists()
+        assert (out / "trails.csv").read_text(encoding="utf-8").startswith("t,node,link")
+        # The log bytes are pinned: a change to the engine's trail layout or
+        # traffic bookkeeping must not change what the logs say.
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("trails.csv", "traffic.csv")
+        }
+        assert digests == {
+            "trails.csv": "67069b2237385de67587cbb5c87b86d95fb460257485b52a4af2d76fb620b576",
+            "traffic.csv": "e71a07799218f87af61f5628c380927279672d90a023f5c832ee9cb87338a380",
+        }
 
     def test_sweep_rows_and_comparison(self, tiny_scenario, tmp_path):
         out = tmp_path / "sweep"
@@ -164,7 +176,9 @@ class TestCli:
         text = out.read_text(encoding="utf-8")
         assert text.startswith("nodes 24\n")
         assert "edge" in text
-        from sentinet import load_topology
-
         topo = load_topology(out)
         assert topo.node_count == 24
+        # The written file is the topology a run of the same scenario uses.
+        ran = Engine(load_scenario(tiny_scenario).config).topology
+        assert topo.roles == ran.roles
+        assert topo.edges == ran.edges
