@@ -12,9 +12,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .engine import ConfigError, Engine
+from .engine import ConfigError, Engine, topology_for
 from .scenario import Scenario, load_scenario
-from .topology import TopologyError, generate_topology, save_topology
+from .topology import TopologyError, save_topology
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,13 +157,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_topology(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    topo_cfg = scenario.config.topology
-    if topo_cfg.seed is None:
-        from dataclasses import replace
-
-        topo_cfg = replace(topo_cfg, seed=scenario.config.seed)
-    topology = generate_topology(topo_cfg)
+    topology = topology_for(_load(args.scenario).config)
     try:
         save_topology(topology, args.outfile)
     except OSError as exc:

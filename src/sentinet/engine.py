@@ -173,6 +173,14 @@ def plan_rebalance(counts: np.ndarray, required: np.ndarray) -> list[tuple[int, 
     return moves
 
 
+def topology_for(config: SimulationConfig) -> Topology:
+    """The topology a run of `config` generates; its seed defaults to the run seed."""
+    topo_cfg = config.topology
+    if topo_cfg.seed is None:
+        topo_cfg = replace(topo_cfg, seed=config.seed)
+    return generate_topology(topo_cfg)
+
+
 class Engine:
     """One simulation run. Construct, then call run(), or step() repeatedly."""
 
@@ -186,10 +194,7 @@ class Engine:
         config.validate()
         self.config = config
         if topology is None:
-            topo_cfg = config.topology
-            if topo_cfg.seed is None:
-                topo_cfg = replace(topo_cfg, seed=config.seed)
-            topology = generate_topology(topo_cfg)
+            topology = topology_for(config)
         self.topology = topology
         n = topology.node_count
         k = config.cell_types
@@ -406,19 +411,12 @@ class Engine:
         if self.trail_state is not None:
             self.trail_state.decay_all()
             if self.record_trails:
-                state = self.trail_state
-                rows = np.nonzero(state.values)
-                for slot, ctype in zip(*rows):
-                    node = int(np.searchsorted(state._indptr, slot, side="right")) - 1
-                    self.trail_log.append(
-                        (
-                            self.t,
-                            node,
-                            int(state._links[slot]),
-                            int(ctype),
-                            float(state.values[slot, ctype]),
-                        )
-                    )
+                topo, values = self.topology, self.trail_state.values
+                slots, ctypes = np.nonzero(values)
+                owner = np.repeat(np.arange(topo.node_count), topo.degrees)[slots]
+                links, value = topo.adj_links[slots], values[slots, ctypes]
+                rows = zip(owner.tolist(), links.tolist(), ctypes.tolist(), value.tolist())
+                self.trail_log.extend((self.t, *row) for row in rows)
 
     def _phase_movement(self) -> None:
         self._move_packet_checkers()
@@ -466,26 +464,28 @@ class Engine:
         self.loc[:n_pc] = np.where(movers, dest, locs)
 
     def _move_node_checkers(self) -> None:
-        topo = self.topology
         rng = self._rng_selection
         base = self.config.movement.base_probability
         state = self.trail_state
-        for cid in self.nc_ids:
-            node = int(self.loc[cid])
-            degree = topo.degree(node)
+        topo = self.topology
+        locs, types = self.loc[self.n_pc :], self.cell_type[self.n_pc :]
+        # Python ints in the loop; the moves land together at the end.
+        starts, degrees = topo.adj_indptr[locs], topo.degrees[locs]
+        rows = zip(locs.tolist(), types.tolist(), starts.tolist(), degrees.tolist())
+        movers, slots = [], []
+        for i, (node, ctype, start, degree) in enumerate(rows):
             if degree == 0:
                 continue
-            if self.trails_on and state is not None:
-                ctype = int(self.cell_type[cid])
-                conn = state.select_next_hop(node, ctype, rng)
-                state.record_traversal(node, conn, ctype)
-                self.loc[cid] = conn.other(node)
+            if state is not None:
+                slot = state.select_next_hop(node, ctype, rng)
+                state.record_traversal(slot, ctype)
+            elif rng.random() < base:
+                slot = start + int(rng.random() * degree)
             else:
-                if rng.random() < base:
-                    start = int(topo.adj_indptr[node])
-                    self.loc[cid] = int(
-                        topo.adj_neighbors[start + int(rng.random() * degree)]
-                    )
+                continue
+            movers.append(i)
+            slots.append(slot)
+        locs[movers] = topo.adj_neighbors[slots]
 
     def _centralized_assign(self) -> None:
         """Teleport packet checkers onto deficits; pay 2 * hops to the gateway

@@ -93,24 +93,24 @@ class MetricsReport:
         total = n_windows * len(node_list) * self.cell_types
         return covered / total
 
+    def _redundant_check_times(self, min_gap: int, span: tuple[int, int] | None = None) -> np.ndarray:
+        """Times of the checks in span that repeat a (node, type) pair sooner
+        than min_gap steps after the previous check of that pair."""
+        start, end = self._span(span)
+        mask = (self.check_times >= start) & (self.check_times < end)
+        nodes, types, times = self.check_nodes[mask], self.check_types[mask], self.check_times[mask]
+        order = np.lexsort((times, types, nodes))
+        nodes, types, times = nodes[order], types[order], times[order]
+        same_pair = (nodes[1:] == nodes[:-1]) & (types[1:] == types[:-1])
+        return times[1:][same_pair & (times[1:] - times[:-1] < min_gap)]
+
     def redundant_check_count(
         self, min_gap: int, span: tuple[int, int] | None = None
     ) -> int:
         """Checks repeating a (node, type) pair sooner than min_gap steps."""
         if min_gap <= 0:
             raise ValueError("min_gap must be positive")
-        start, end = self._span(span)
-        mask = (self.check_times >= start) & (self.check_times < end)
-        if not mask.any():
-            return 0
-        nodes = self.check_nodes[mask]
-        types = self.check_types[mask]
-        times = self.check_times[mask]
-        order = np.lexsort((times, types, nodes))
-        nodes, types, times = nodes[order], types[order], times[order]
-        same_pair = (nodes[1:] == nodes[:-1]) & (types[1:] == types[:-1])
-        gaps = times[1:] - times[:-1]
-        return int(np.count_nonzero(same_pair & (gaps < min_gap)))
+        return len(self._redundant_check_times(min_gap, span))
 
     # ------------------------------------------------------------------
     # Exports
@@ -159,15 +159,7 @@ class MetricsReport:
         """Per-timestep series in a fixed column order."""
         min_gap = max(1, self.coverage_window // 4) if self.coverage_window > 0 else 1
         checks_per_step = np.bincount(self.check_times, minlength=self.duration)
-        redundant_per_step = np.zeros(self.duration, dtype=np.int64)
-        if len(self.check_times):
-            order = np.lexsort((self.check_times, self.check_types, self.check_nodes))
-            nodes = self.check_nodes[order]
-            types = self.check_types[order]
-            times = self.check_times[order]
-            same = (nodes[1:] == nodes[:-1]) & (types[1:] == types[:-1])
-            close = same & ((times[1:] - times[:-1]) < min_gap)
-            np.add.at(redundant_per_step, times[1:][close], 1)
+        redundant_per_step = np.bincount(self._redundant_check_times(min_gap), minlength=self.duration)
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(

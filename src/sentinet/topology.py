@@ -97,35 +97,36 @@ class Topology:
 
     def __post_init__(self) -> None:
         n = len(self.roles)
-        adj: list[list[tuple[Connection, int]]] = [[] for _ in range(n)]
-        for conn in self.edges:
+        for position, conn in enumerate(self.edges):
+            if conn.link_id != position:
+                raise TopologyError(f"link {conn.link_id} is edge {position}: link ids must be edge positions")
+            if not (0 <= conn.u < n and 0 <= conn.v < n):
+                raise TopologyError(f"link {position} joins {conn.u} and {conn.v}, outside nodes 0..{n - 1}")
             if conn.u == conn.v:
                 raise TopologyError(f"self-loop on node {conn.u}")
-            adj[conn.u].append((conn, conn.v))
-            adj[conn.v].append((conn, conn.u))
-        for entries in adj:
-            entries.sort(key=lambda item: item[1])
-        self._adjacency = adj
-        seen: set[tuple[int, int]] = set()
-        for conn in self.edges:
-            if conn.endpoints() in seen:
-                raise TopologyError(f"duplicate edge {conn.endpoints()}")
-            seen.add(conn.endpoints())
+        for conn in self.bridge_edges:
+            if not 0 <= conn.link_id < len(self.edges) or self.edges[conn.link_id] != conn:
+                raise TopologyError(f"bridge {conn.u} {conn.v} is not an edge")
         if not self.fragment_of:
             self.fragment_of = [0] * n
-        # CSR view of the adjacency for array-based consumers.
-        degrees = np.array([len(adj[v]) for v in range(n)], dtype=np.int64)
+        if len(self.fragment_of) != n:
+            raise TopologyError(f"fragment_of has {len(self.fragment_of)} entries for {n} nodes")
+        # The adjacency, in CSR form: node v's directed links are the slots
+        # adj_indptr[v]:adj_indptr[v + 1], ordered by neighbor id.
+        ends = np.array([conn.endpoints() for conn in self.edges], dtype=np.int64).reshape(-1, 2)
+        nodes = np.concatenate([ends[:, 0], ends[:, 1]])
+        others = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((others, nodes))
+        nodes, others = nodes[order], others[order]
+        repeats = np.flatnonzero((nodes[1:] == nodes[:-1]) & (others[1:] == others[:-1]))
+        if len(repeats):
+            first = repeats[0]
+            raise TopologyError(f"duplicate edge {(int(nodes[first]), int(others[first]))}")
+        self.adj_neighbors = others
+        self.adj_links = np.tile(np.arange(len(self.edges), dtype=np.int64), 2)[order]
+        self.degrees = np.bincount(nodes, minlength=n)
         self.adj_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self.adj_indptr[1:])
-        self.adj_neighbors = np.empty(int(degrees.sum()), dtype=np.int64)
-        self.adj_links = np.empty(int(degrees.sum()), dtype=np.int64)
-        pos = 0
-        for v in range(n):
-            for conn, w in adj[v]:
-                self.adj_neighbors[pos] = w
-                self.adj_links[pos] = conn.link_id
-                pos += 1
-        self.degrees = degrees
+        np.cumsum(self.degrees, out=self.adj_indptr[1:])
 
     @property
     def node_count(self) -> int:
@@ -138,16 +139,21 @@ class Topology:
                 return v
         raise TopologyError("topology has no gateway")
 
+    def _slots(self, node: int) -> tuple[int, int]:
+        """The node's first slot and one past its last."""
+        if not 0 <= node < self.node_count:
+            raise TopologyError(f"unknown node {node}")
+        return int(self.adj_indptr[node]), int(self.adj_indptr[node + 1])
+
     def neighbors(self, node: int) -> list[tuple[Connection, int]]:
         """Adjacent (link, neighbor) pairs, ordered by neighbor id ascending."""
-        if not 0 <= node < self.node_count:
-            raise TopologyError(f"unknown node {node}")
-        return list(self._adjacency[node])
+        start, end = self._slots(node)
+        links, others = self.adj_links[start:end].tolist(), self.adj_neighbors[start:end].tolist()
+        return [(self.edges[link], w) for link, w in zip(links, others)]
 
     def degree(self, node: int) -> int:
-        if not 0 <= node < self.node_count:
-            raise TopologyError(f"unknown node {node}")
-        return len(self._adjacency[node])
+        start, end = self._slots(node)
+        return end - start
 
     def connection_between(self, u: int, v: int) -> Connection:
         for conn, w in self.neighbors(u):
@@ -157,40 +163,44 @@ class Topology:
 
     def hop_distances(self, source: int) -> np.ndarray:
         """BFS hop counts from source; unreachable nodes get -1."""
-        dist = np.full(self.node_count, -1, dtype=np.int64)
+        indptr, neighbors = self.adj_indptr.tolist(), self.adj_neighbors.tolist()
+        dist = [-1] * self.node_count
         dist[source] = 0
         frontier = [source]
         while frontier:
             nxt: list[int] = []
             for v in frontier:
-                for _, w in self._adjacency[v]:
+                for w in neighbors[indptr[v] : indptr[v + 1]]:
                     if dist[w] < 0:
                         dist[w] = dist[v] + 1
                         nxt.append(w)
             frontier = nxt
-        return dist
+        return np.array(dist, dtype=np.int64)
 
     def shortest_path(self, source: int, target: int) -> list[int]:
         """Shortest path as a node sequence, ties broken toward lower node ids."""
         if source == target:
             return [source]
-        dist = self.hop_distances(source)
+        dist = self.hop_distances(source).tolist()
         if dist[target] < 0:
             raise TopologyError(f"no path from {source} to {target}")
-        # Walk back from the target, always through the smallest-id predecessor.
+        # Walk back from the target, always through the smallest-id
+        # predecessor: the first one in the target's id-ordered slots.
+        indptr, neighbors = self.adj_indptr.tolist(), self.adj_neighbors.tolist()
         path = [target]
         current = target
         while current != source:
-            predecessor = min(
-                w for _, w in self._adjacency[current] if dist[w] == dist[current] - 1
+            current = next(
+                w for w in neighbors[indptr[current] : indptr[current + 1]] if dist[w] == dist[current] - 1
             )
-            path.append(predecessor)
-            current = predecessor
+            path.append(current)
         path.reverse()
         return path
 
     def connected_components(self, skip_links: set[int] | None = None) -> list[list[int]]:
         skip = skip_links or set()
+        indptr = self.adj_indptr.tolist()
+        neighbors, links = self.adj_neighbors.tolist(), self.adj_links.tolist()
         seen = [False] * self.node_count
         components: list[list[int]] = []
         for start in range(self.node_count):
@@ -202,8 +212,9 @@ class Topology:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for conn, w in self._adjacency[v]:
-                    if conn.link_id in skip or seen[w]:
+                for k in range(indptr[v], indptr[v + 1]):
+                    w = neighbors[k]
+                    if links[k] in skip or seen[w]:
                         continue
                     seen[w] = True
                     stack.append(w)
@@ -328,25 +339,34 @@ def save_topology(topology: Topology, path: str | Path) -> None:
 
 def load_topology(path: str | Path) -> Topology:
     """Read `save_topology`'s form. A node line without a fragment is in
-    fragment 0, so files without fragments or bridges load as one fragment."""
+    fragment 0, so files without fragments or bridges load as one fragment.
+    A line that does not parse, or names a node outside the header's count,
+    is a `TopologyError` naming the file and the line."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("nodes "):
         raise TopologyError(f"{path}: missing 'nodes <N>' header")
-    count = int(lines[0].split()[1])
+    count = 0
     roles: dict[int, NodeRole] = {}
     fragments: dict[int, int] = {}
     pairs: dict[str, list[tuple[int, int]]] = {"edge": [], "bridge": []}
-    for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "node":
-            roles[int(parts[1])] = NodeRole(parts[2])
-            fragments[int(parts[1])] = int(parts[3]) if len(parts) > 3 else 0
-        elif parts[0] in pairs:
-            u, v = int(parts[1]), int(parts[2])
-            pairs[parts[0]].append((min(u, v), max(u, v)))
-        else:
-            raise TopologyError(f"{path}: unrecognised line {line!r}")
+    for index, line in enumerate(lines):
+        kind, *fields = line.split()
+        try:
+            if index == 0:
+                count = int(fields[0])
+            elif kind == "node":
+                roles[int(fields[0])] = NodeRole(fields[1])
+                fragments[int(fields[0])] = int(fields[2]) if len(fields) > 2 else 0
+            elif kind in pairs:
+                u, v = int(fields[0]), int(fields[1])
+                if not (0 <= u < count and 0 <= v < count):
+                    raise ValueError(f"node outside 0..{count - 1}")
+                pairs[kind].append((min(u, v), max(u, v)))
+            else:
+                raise ValueError("unknown line kind")
+        except (ValueError, IndexError) as exc:
+            raise TopologyError(f"{path}: bad line {line!r}") from exc
     if sorted(roles) != list(range(count)):
         raise TopologyError(f"{path}: node ids are not dense 0..{count - 1}")
     edges = [Connection(i, u, v) for i, (u, v) in enumerate(sorted(pairs["edge"]))]

@@ -11,11 +11,13 @@ misbehave, e.g. at bridge endpoints in fragmented networks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .topology import Connection, Topology
+from .topology import Topology
 
 
 @dataclass
@@ -64,9 +66,10 @@ def roulette_weights(values: np.ndarray) -> np.ndarray:
 class TrailState:
     """All trail storage for one topology, laid out per directed link slot.
 
-    Slot k of node v covers the k-th entry of the node's sorted neighbor
-    list; values are indexed [slot, cell_type]. The reverse direction of a
-    link is a different slot owned by the other endpoint.
+    A slot is an index into the topology's CSR adjacency: node v owns slots
+    adj_indptr[v]:adj_indptr[v + 1], one per link in neighbor order, and
+    values are indexed [slot, cell_type]. The reverse direction of a link is
+    a different slot owned by the other endpoint.
     """
 
     def __init__(self, topology: Topology, params: TrailParams, cell_types: int):
@@ -74,20 +77,13 @@ class TrailState:
         self.topology = topology
         self.params = params
         self.cell_types = cell_types
-        self._indptr = topology.adj_indptr
-        self._links = topology.adj_links
-        self._neighbors = topology.adj_neighbors
-        slots = int(self._indptr[-1])
+        # select_next_hop reads it once per checker per step, and list items
+        # are cheaper to read than numpy scalars.
+        self._indptr = topology.adj_indptr.tolist()
+        slots = self._indptr[-1]
         self.values = np.zeros((slots, cell_types + 1), dtype=np.float64)
         self._decay_steps = np.full(slots, params.decay_step, dtype=np.float64)
         self.bridge_fallback = np.zeros(topology.node_count, dtype=bool)
-
-    def slot(self, node: int, connection: Connection) -> int:
-        start, end = int(self._indptr[node]), int(self._indptr[node + 1])
-        for k in range(start, end):
-            if self._links[k] == connection.link_id:
-                return k
-        raise ValueError(f"link {connection.link_id} does not leave node {node}")
 
     def set_bridge_fallback(self, nodes: list[int], enabled: bool = True) -> None:
         for node in nodes:
@@ -97,44 +93,35 @@ class TrailState:
         """Per-node override: a steeper fade is the other bridge remedy."""
         if decay_step <= 0:
             raise ValueError("decay_step must be positive")
-        start, end = int(self._indptr[node]), int(self._indptr[node + 1])
-        self._decay_steps[start:end] = decay_step
+        self._decay_steps[self._indptr[node] : self._indptr[node + 1]] = decay_step
 
-    def record_traversal(self, node: int, connection: Connection, cell_type: int) -> None:
-        """Bump exactly the (link, type) entry at the departure node."""
+    def record_traversal(self, slot: int, cell_type: int) -> None:
+        """Bump exactly the (slot, type) entry: the link taken, at the departure node."""
         if not 1 <= cell_type <= self.cell_types:
             raise ValueError(f"cell_type {cell_type} out of range")
-        k = self.slot(node, connection)
-        self.values[k, cell_type] = trail_increase(float(self.values[k, cell_type]), self.params)
+        if not 0 <= slot < len(self.values):
+            raise ValueError(f"slot {slot} out of range 0..{len(self.values) - 1}")
+        self.values[slot, cell_type] = trail_increase(float(self.values[slot, cell_type]), self.params)
 
     def decay_all(self) -> None:
         """One step of linear fade on every entry of every node."""
         np.subtract(self.values, self._decay_steps[:, None], out=self.values)
         np.maximum(self.values, 0.0, out=self.values)
 
-    def select_next_hop(self, node: int, cell_type: int, rng: np.random.Generator) -> Connection:
-        """Roulette pick among the node's links for this cell type.
+    def select_next_hop(self, node: int, cell_type: int, rng: np.random.Generator) -> int:
+        """Roulette pick among the node's links for this cell type; returns the slot.
 
         Fallback nodes choose uniformly. Elsewhere a uniform integer from
         [1, total weight] is mapped onto the cumulative weight intervals, in
         neighbor order, so lower trail values get proportionally more mass.
         """
-        start, end = int(self._indptr[node]), int(self._indptr[node + 1])
-        degree = end - start
-        if degree == 0:
+        start, end = self._indptr[node], self._indptr[node + 1]
+        if start == end:
             raise ValueError(f"node {node} has no neighbors")
-        neighbors = self.topology.neighbors(node)
         if self.bridge_fallback[node]:
-            return neighbors[int(rng.integers(0, degree))][0]
-        weights = roulette_weights(self.values[start:end, cell_type])
-        total = int(weights.sum())
-        pick = int(rng.integers(1, total + 1))
-        running = 0
-        for idx in range(degree):
-            running += int(weights[idx])
-            if pick <= running:
-                return neighbors[idx][0]
-        return neighbors[-1][0]
+            return start + int(rng.integers(0, end - start))
+        cumulative = list(accumulate(roulette_weights(self.values[start:end, cell_type]).tolist()))
+        return start + bisect_left(cumulative, int(rng.integers(1, cumulative[-1] + 1)))
 
 
 def selection_probabilities(values: np.ndarray) -> np.ndarray:

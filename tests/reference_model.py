@@ -1,17 +1,19 @@
 """Plain-Python reference model of a whole run: the oracle for `Engine`.
 
 Cells live in per-node lists, notifications in per-node inboxes, trails and
-infections in dicts. Each rule is one small scalar function; `ReferenceModel`
-steps them one object at a time in the engine's phase order, on the engine's
-three RNG substreams in its draw order. It shares with the package only the
-traffic generator, the trail increase law, the config and report dataclasses
-and the seed-to-substream rule.
+infections in dicts. The adjacency and the gateway hop counts are built from
+the topology's edge list, with the model's own breadth-first search. Each
+rule is one small scalar function; `ReferenceModel` steps them one object at
+a time in the engine's phase order, on the engine's three RNG substreams in
+its draw order. It shares with the package only the traffic generator, the
+trail increase law, the config and report dataclasses and the
+seed-to-substream rule.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,13 +124,38 @@ def forward_step(node, neighbors, inbox, own_emission, params=None):
     ]
 
 
+def adjacency(topology):
+    """Each node's (link, neighbor) pairs ordered by neighbor id, built from
+    the edge list alone."""
+    neighbors = [[] for _ in range(topology.node_count)]
+    for conn in topology.edges:
+        neighbors[conn.u].append((conn, conn.v))
+        neighbors[conn.v].append((conn, conn.u))
+    return [sorted(pairs, key=lambda pair: pair[1]) for pairs in neighbors]
+
+
+def hop_counts(neighbors, source):
+    """Breadth-first hop count from source to every node, -1 where unreachable."""
+    hops = [-1] * len(neighbors)
+    hops[source] = 0
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for _, other in neighbors[node]:
+            if hops[other] < 0:
+                hops[other] = hops[node] + 1
+                queue.append(other)
+    return hops
+
+
 def relay_step(topology, inboxes, emissions, params):
     """Every node's sends in one step, from inboxes (lists of packets) to the
     next inboxes: returns (next inboxes, [(sender, link, packet)])."""
+    neighbors = adjacency(topology)
     sends = [
         (node, conn, packet)
         for node, (inbox, own) in enumerate(zip(inboxes, emissions))
-        for conn, packet in forward_step(node, topology.neighbors(node), inbox, own, params)
+        for conn, packet in forward_step(node, neighbors[node], inbox, own, params)
     ]
     delivered = [[] for _ in range(topology.node_count)]
     for sender, conn, packet in sends:
@@ -227,7 +254,8 @@ class ReferenceModel:
         self.in_flight = []
         streams = (_substream(config.seed, index) for index in (1, 2, 3))  # traffic, movement, selection
         self.rng_traffic, self.rng_movement, self.rng_selection = streams
-        self.gateway_hops = topology.hop_distances(topology.gateway)
+        self.neighbors = adjacency(topology)
+        self.gateway_hops = hop_counts(self.neighbors, topology.gateway)
 
         self.delivered_infected = self.created = self.cleared = self.max_load = 0
         self.bandwidth = 0.0
@@ -244,7 +272,7 @@ class ReferenceModel:
         cell.location = node
 
     def _trail_pick(self, node, ctype):
-        neighbors, rng = self.topology.neighbors(node), self.rng_selection
+        neighbors, rng = self.neighbors[node], self.rng_selection
         if self.config.bridge_fallback and node in self.bridge_ends:
             return lambda: neighbors[int(rng.integers(0, len(neighbors)))][0]
         values = [self.trails.get((node, conn.link_id, ctype), 0.0) for conn, _ in neighbors]
@@ -305,13 +333,13 @@ class ReferenceModel:
             strongest = best(self.inboxes[here]) if self.notification_on else None
             pinned = lacking[here] if self.notification_on else 0.0
             draws = iter((u_move[cell.cell_id], u_dest[cell.cell_id])).__next__
-            conn = decide_move(cell, params, pinned, topo.neighbors(here), strongest, None, draws)
+            conn = decide_move(cell, params, pinned, self.neighbors[here], strongest, None, draws)
             if conn is not None:
                 self._move(cell, conn.other(here))
         for cell in self.cells[self.n_pc :]:
             here, ctype = cell.location, cell.cell_type
             pick = self._trail_pick(here, ctype) if self.trails_on else None
-            conn = decide_move(cell, params, 0.0, topo.neighbors(here), None, pick, self.rng_selection.random)
+            conn = decide_move(cell, params, 0.0, self.neighbors[here], None, pick, self.rng_selection.random)
             if conn is None:
                 continue
             if self.trails_on:
@@ -327,7 +355,7 @@ class ReferenceModel:
                 for cell in chosen:
                     self._move(cell, dst)
                 pools[dst] += chosen
-                self.bandwidth += amount * 2.0 * int(self.gateway_hops[src])
+                self.bandwidth += amount * 2.0 * self.gateway_hops[src]
         series["entity_counts"].append([len(cells) for cells in self.cells_at])
         self.t += 1
 

@@ -295,13 +295,13 @@ def test_criterion_5_trail_laws():
     topology = Topology(roles=[NodeRole.ROUTER] + [NodeRole.WORKSTATION] * 4, edges=edges)
     state = TrailState(topology, params, cell_types=1)
     for idx, value in enumerate(values):
-        state.values[state.slot(0, edges[idx]), 1] = value
+        state.values[idx, 1] = value  # node 0's slot idx leads to node idx + 1
     expected = selection_probabilities(np.array(values))
     draw_rng = np.random.default_rng(99)
     trials = 1_000_000
     counts = np.zeros(5, dtype=np.int64)
     for _ in range(trials):
-        counts[state.select_next_hop(0, 1, draw_rng).other(0)] += 1
+        counts[topology.adj_neighbors[state.select_next_hop(0, 1, draw_rng)]] += 1
     freq_ok = True
     for idx, p in enumerate(expected):
         sigma = math.sqrt(p * (1 - p) / trials)

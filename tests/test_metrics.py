@@ -91,6 +91,8 @@ class TestRedundantChecks:
         report = report_with_checks([(0, 0, 1), (3, 0, 1), (4, 0, 1), (19, 0, 1)])
         # gaps: 3, 1, 15 against min_gap 5 -> two redundant checks
         assert report.redundant_check_count(5) == 2
+        # A gap of exactly min_gap is not a close repeat.
+        assert report.redundant_check_count(3) == 1
 
     def test_different_pairs_never_interfere(self):
         report = report_with_checks([(0, 0, 1), (1, 1, 1), (2, 0, 2), (3, 1, 2)])

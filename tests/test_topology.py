@@ -174,6 +174,17 @@ def test_self_loops_and_duplicate_edges_rejected():
             roles=[NodeRole.ROUTER] * 2,
             edges=[Connection(0, 0, 1), Connection(1, 0, 1)],
         )
+    # Endpoints outside 0..n-1, link ids that are not the edge's position, a
+    # bridge that is not an edge, and a fragment list of the wrong length.
+    for bad in (
+        {"edges": [Connection(0, 0, 2)]},
+        {"edges": [Connection(0, -1, 1)]},
+        {"edges": [Connection(5, 0, 1)]},
+        {"edges": [Connection(0, 0, 1)], "bridge_edges": [Connection(1, 0, 1)]},
+        {"edges": [Connection(0, 0, 1)], "fragment_of": [0]},
+    ):
+        with pytest.raises(TopologyError):
+            Topology(roles=[NodeRole.GATEWAY, NodeRole.ROUTER], **bad)
 
 
 def test_shortest_path_matches_bfs_distance_and_breaks_ties_low():
@@ -237,3 +248,13 @@ def test_load_rejects_malformed_files(tmp_path):
     bad.write_text(THREE_NODES + "bridge 1 2\n", encoding="utf-8")
     with pytest.raises(TopologyError, match="bridge 1 2"):
         load_topology(bad)
+    two_nodes = "nodes 2\nnode 0 gateway\nnode 1 router\n"
+    for text, line in [
+        ("nodes 2\nnode 0 gateway\nnode 1 bogus\n", "node 1 bogus"),
+        (two_nodes + "edge 0 5\n", "edge 0 5"),
+        (two_nodes + "edge 1\n", "edge 1"),
+        ("nodes x\nnode 0 gateway\n", "nodes x"),
+    ]:
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(TopologyError, match=f"bad.topo.*{line}"):
+            load_topology(bad)

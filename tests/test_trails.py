@@ -35,8 +35,7 @@ def star_state(values, cell_type=1, params=None) -> TrailState:
     topo = star_topology(len(values))
     state = TrailState(topo, params or TrailParams(), cell_types=3)
     for idx, value in enumerate(values):
-        conn = topo.connection_between(0, idx + 1)
-        state.values[state.slot(0, conn), cell_type] = value
+        state.values[idx, cell_type] = value  # node 0 owns slots 0..len-1, leaf idx + 1 at slot idx
     return state
 
 
@@ -120,34 +119,33 @@ class TestDecay:
 class TestRecordTraversal:
     def test_single_traversal_sets_exactly_one_entry(self):
         state = star_state([0, 0, 0])
-        topo = state.topology
-        conn = topo.connection_between(0, 2)
-        state.record_traversal(0, conn, cell_type=1)
-        assert state.values[state.slot(0, conn), 1] == pytest.approx(trail_increase(0.0, PARAMS))
+        slot = 1  # node 0 to leaf 2
+        state.record_traversal(slot, cell_type=1)
+        assert state.values[slot, 1] == pytest.approx(trail_increase(0.0, PARAMS))
         nonzero = np.nonzero(state.values)
         assert len(nonzero[0]) == 1
 
     def test_double_traversal_composes_the_increase(self):
         state = star_state([0, 0])
-        conn = state.topology.connection_between(0, 1)
-        state.record_traversal(0, conn, 1)
-        state.record_traversal(0, conn, 1)
-        assert state.values[state.slot(0, conn), 1] == pytest.approx(
+        slot = 0  # node 0 to leaf 1
+        state.record_traversal(slot, 1)
+        state.record_traversal(slot, 1)
+        assert state.values[slot, 1] == pytest.approx(
             trail_increase(trail_increase(0.0, PARAMS), PARAMS)
         )
 
     def test_types_are_isolated(self):
         state = star_state([0, 0])
-        conn = state.topology.connection_between(0, 1)
-        state.record_traversal(0, conn, cell_type=2)
-        assert state.values[state.slot(0, conn), 1] == 0.0
-        assert state.values[state.slot(0, conn), 3] == 0.0
+        slot = 0  # node 0 to leaf 1
+        state.record_traversal(slot, cell_type=2)
+        assert state.values[slot, 1] == 0.0
+        assert state.values[slot, 3] == 0.0
 
     def test_foreign_connection_rejected(self):
         state = star_state([0, 0])
-        foreign = Connection(99, 5, 6)
-        with pytest.raises(ValueError):
-            state.record_traversal(0, foreign, 1)
+        for foreign in (-1, len(state.values), 99):  # slots outside 0..slots-1
+            with pytest.raises(ValueError):
+                state.record_traversal(foreign, 1)
 
     def test_decay_all_touches_every_entry_and_respects_overrides(self):
         state = star_state([10.0, 5.0, 0.5])
@@ -158,13 +156,11 @@ class TestRecordTraversal:
     def test_values_stay_within_bounds_under_random_operation_sequences(self):
         params = TrailParams(value_cap=50.0)
         state = star_state([0, 0, 0, 0], params=params)
-        topo = state.topology
         rng = np.random.default_rng(17)
         for _ in range(3000):
             if rng.random() < 0.7:
                 leaf = int(rng.integers(1, 5))
-                conn = topo.connection_between(0, leaf)
-                state.record_traversal(0, conn, int(rng.integers(1, 4)))
+                state.record_traversal(leaf - 1, int(rng.integers(1, 4)))
             else:
                 state.decay_all()
             assert (state.values >= 0.0).all()
@@ -189,7 +185,7 @@ class TestSelection:
         counts = np.zeros(4, dtype=int)
         trials = 90_000
         for _ in range(trials):
-            counts[state.select_next_hop(0, 1, rng).other(0)] += 1
+            counts[state.topology.adj_neighbors[state.select_next_hop(0, 1, rng)]] += 1
         for leaf in (1, 2, 3):
             assert abs(counts[leaf] / trials - 1 / 3) < 0.01
 
@@ -205,7 +201,7 @@ class TestSelection:
         trials = 1_000_000
         counts = np.zeros(5, dtype=np.int64)
         for _ in range(trials):
-            counts[state.select_next_hop(0, 1, rng).other(0)] += 1
+            counts[state.topology.adj_neighbors[state.select_next_hop(0, 1, rng)]] += 1
         for idx, p in enumerate(expected):
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(counts[idx + 1] / trials - p) <= 3 * sigma
@@ -217,7 +213,7 @@ class TestSelection:
         counts = np.zeros(4, dtype=int)
         trials = 90_000
         for _ in range(trials):
-            counts[state.select_next_hop(0, 1, rng).other(0)] += 1
+            counts[state.topology.adj_neighbors[state.select_next_hop(0, 1, rng)]] += 1
         for leaf in (1, 2, 3):
             assert abs(counts[leaf] / trials - 1 / 3) < 0.01
 
@@ -247,5 +243,5 @@ class TestSelection:
 
         tally = np.zeros(5, dtype=int)
         for pick in range(1, int(weights.sum()) + 1):
-            tally[state.select_next_hop(0, 1, StubRng(pick)).other(0)] += 1
+            tally[state.topology.adj_neighbors[state.select_next_hop(0, 1, StubRng(pick))]] += 1
         assert list(tally[1:]) == list(weights)
