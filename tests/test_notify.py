@@ -31,6 +31,7 @@ from sentinet import (
     flood_trace,
     generate_topology,
 )
+from sentinet import notify
 
 
 def bfs_distances(n_nodes, edge_pairs, origin):
@@ -183,6 +184,88 @@ class TestForwardStep:
             assert best(inbox).arrival.link_id not in links
         else:
             assert sends == []
+
+
+def _with_isolated_node(topo):
+    """The same graph plus one node of degree 0."""
+    return Topology(roles=list(topo.roles) + [NodeRole.WORKSTATION], edges=list(topo.edges))
+
+
+QUARTERS = st.one_of(st.just(0.0), st.integers(1, 24).map(lambda q: q / 4))
+
+
+class TestRelayMatchesOracle:
+    """`relay` against the reference model's per-node `forward_step` flood."""
+
+    @given(
+        data=st.data(),
+        graph_seed=st.integers(0, 2**16),
+        threshold=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        own_wins=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_relay_equals_relay_step(self, data, graph_seed, threshold, own_wins):
+        topo, _ = random_connected_graph(np.random.default_rng(graph_seed), max_nodes=40)
+        topo = _with_isolated_node(topo)
+        n, m = topo.node_count, len(topo.edges)
+        params = NotifyParams(forward_threshold=threshold, own_emission_wins=own_wins)
+
+        lacking = np.array(data.draw(st.lists(QUARTERS, min_size=n, max_size=n)))
+        value = np.zeros(n)
+        origin = np.zeros(n, dtype=np.int64)
+        link = np.full(n, -1, dtype=np.int64)
+        for node in range(n):
+            degree = int(topo.degrees[node])
+            heard = data.draw(QUARTERS) if degree else 0.0
+            if heard > 0:
+                value[node] = heard
+                origin[node] = data.draw(st.integers(0, n - 1))
+                slot = topo.adj_indptr[node] + data.draw(st.integers(0, degree - 1))
+                link[node] = topo.adj_links[slot]
+        counts = np.array(data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)), dtype=np.int64)
+        per_connection = counts.copy()
+
+        got_value, got_origin, got_link, got_sender, sent, peak = notify.relay(
+            topo, params, lacking, value, origin, link, per_connection
+        )
+
+        inboxes = [
+            [NotificationPacket(int(origin[v]), float(value[v]), topo.edges[link[v]])] if value[v] > 0 else []
+            for v in range(n)
+        ]
+        emissions = [emit_deficiency(v, 0.0, float(lacking[v])) for v in range(n)]
+        delivered, sends = relay_step(topo, inboxes, emissions, params)
+        for node, inbox in enumerate(delivered):
+            strongest = best(inbox)
+            if strongest is None:
+                expected = (0.0, 0, -1, -1)
+            else:
+                conn = strongest.arrival
+                expected = (strongest.value, strongest.origin, conn.link_id, conn.other(node))
+            assert (got_value[node], got_origin[node], got_link[node], got_sender[node]) == expected
+        for got, given_array in zip((got_value, got_origin, got_link, got_sender), (value, origin, link, link)):
+            assert got.dtype == given_array.dtype and got.shape == (n,)
+        assert sent == len(sends)
+        loads = Counter((conn.link_id, sender) for sender, conn, _ in sends)
+        assert peak == max(loads.values(), default=0)
+        expected_counts = counts.copy()
+        for _, conn, _ in sends:
+            expected_counts[conn.link_id] += 1
+        assert per_connection.tolist() == expected_counts.tolist()
+
+    def test_idle_graph_sends_nothing(self):
+        # The patrol path: no deficiency and nothing heard.
+        topo = _with_isolated_node(random_connected_graph(np.random.default_rng(9), max_nodes=20)[0])
+        n, m = topo.node_count, len(topo.edges)
+        per_connection = np.arange(1, m + 1, dtype=np.int64)
+        value, origin, link, sender, sent, peak = notify.relay(
+            topo, NotifyParams(), np.zeros(n), np.zeros(n),
+            np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int64), per_connection,
+        )
+        assert (sent, peak) == (0, 0)
+        assert not value.any() and not origin.any()
+        assert (link == -1).all() and (sender == -1).all()
+        assert per_connection.tolist() == list(range(1, m + 1))
 
 
 class TestFloodShape:
