@@ -17,6 +17,13 @@ from .scenario import Scenario, load_scenario
 from .topology import TopologyError, save_topology
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sentinet",
@@ -33,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run the scenario's seeds x strategies grid")
     sweep_p.add_argument("scenario")
     sweep_p.add_argument("--out-dir", default=None)
-    sweep_p.add_argument("--jobs", type=int, default=1)
+    sweep_p.add_argument("--jobs", type=_positive_int, default=1)
 
     gen_p = sub.add_parser("gen-topology", help="write the scenario's topology as text")
     gen_p.add_argument("scenario")

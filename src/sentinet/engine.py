@@ -45,6 +45,11 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     )
 
 
+def _tally(nodes: np.ndarray, types: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Cells per (node, type) as a matrix of `shape`."""
+    return np.bincount(nodes * shape[1] + types, minlength=shape[0] * shape[1]).reshape(shape)
+
+
 STRATEGIES = ("uninformed", "notification", "trails", "protocols", "centralized")
 
 
@@ -240,8 +245,7 @@ class Engine:
 
         self.pc_slice = slice(0, n_pc)
         self.nc_ids = list(range(n_pc, n_pc + n_nc))
-        self.pc_counts_by_type = np.zeros((n, k + 1), dtype=np.int64)
-        np.add.at(self.pc_counts_by_type, (self.loc[: n_pc], self.cell_type[: n_pc]), 1)
+        self.pc_counts_by_type = _tally(self.loc[:n_pc], self.cell_type[:n_pc], (n, k + 1))
 
         self.trail_state: TrailState | None = None
         if self.trails_on:
@@ -458,9 +462,9 @@ class Engine:
             dest[wander] = topo.adj_neighbors[topo.adj_indptr[locs[wander]] + offsets]
 
         moved = np.nonzero(movers)[0]
-        types = self.cell_type[moved]
-        np.add.at(self.pc_counts_by_type, (locs[moved], types), -1)
-        np.add.at(self.pc_counts_by_type, (dest[moved], types), 1)
+        counts, types = self.pc_counts_by_type, self.cell_type[moved]
+        counts -= _tally(locs[moved], types, counts.shape)
+        counts += _tally(dest[moved], types, counts.shape)
         self.loc[:n_pc] = np.where(movers, dest, locs)
 
     def _move_node_checkers(self) -> None:
@@ -515,10 +519,9 @@ class Engine:
         rank = np.arange(len(origin)) - np.searchsorted(origin, origin)
         chosen = pool[np.searchsorted(locs[pool], origin) + rank]
         self.loc[chosen] = target
-        counts = self.pc_counts_by_type
-        width, types = counts.shape[1], self.cell_type[chosen]
-        counts -= np.bincount(origin * width + types, minlength=counts.size).reshape(counts.shape)
-        counts += np.bincount(target * width + types, minlength=counts.size).reshape(counts.shape)
+        counts, types = self.pc_counts_by_type, self.cell_type[chosen]
+        counts -= _tally(origin, types, counts.shape)
+        counts += _tally(target, types, counts.shape)
         self.control_bandwidth += 2.0 * int(self._dist_from_gateway[origin].sum())
 
     # ------------------------------------------------------------------

@@ -6,6 +6,13 @@ packet they saw this step, decremented once per hop and never back along the
 link it arrived on, so a shortfall of v is visible exactly v hops out and the
 load on any single link stays at one packet per direction per step. Nothing
 is stored between steps.
+
+`relay` runs one step for the whole graph as array operations on the CSR
+adjacency. Two masks pick the senders: emitters (a fresh deficiency) and
+forwarders (a heard packet still above the threshold after its decrement).
+One `np.repeat` over their degrees lists every send, and one lexsort picks
+each receiver's packet: the higher value, then the lower origin, then the
+lower link.
 """
 
 from __future__ import annotations
@@ -49,47 +56,44 @@ def relay(
     the packets sent and the peak load on one link direction.
     `per_connection` counts the packets sent over each link, in place.
     """
-    indptr, links, neigh = topology.adj_indptr, topology.adj_links, topology.adj_neighbors
     new_value = np.zeros_like(value)
-    new_from = np.full_like(link, -1)
     new_origin = np.zeros_like(origin)
     new_link = np.full_like(link, -1)
+    new_from = np.full_like(link, -1)
 
-    active = set(np.nonzero(value > 0)[0].tolist())
-    active |= set(np.nonzero(lacking > 0)[0].tolist())
-    sent = 0
-    loads: dict[tuple[int, bool], int] = {}
-    for node in active:
-        own = float(lacking[node])
-        relayed = float(value[node])
-        if own > 0 and (params.own_emission_wins or relayed <= own):
-            out_value, out_origin, exclude = own, node, -1
-        elif relayed > 0:
-            out_value = relayed - 1.0
-            if out_value <= params.forward_threshold:
-                continue
-            out_origin, exclude = int(origin[node]), int(link[node])
-        else:
-            continue
-        for k in range(int(indptr[node]), int(indptr[node + 1])):
-            via = int(links[k])
-            if via == exclude:
-                continue
-            receiver = int(neigh[k])
-            sent += 1
-            per_connection[via] += 1
-            direction = (via, node < receiver)
-            loads[direction] = loads.get(direction, 0) + 1
-            better = out_value > new_value[receiver] or (
-                out_value == new_value[receiver]
-                and (out_origin, via) < (int(new_origin[receiver]), int(new_link[receiver]))
-            )
-            if better:
-                new_value[receiver] = out_value
-                new_origin[receiver] = out_origin
-                new_link[receiver] = via
-                new_from[receiver] = node
-    return new_value, new_origin, new_link, new_from, sent, max(loads.values(), default=0)
+    emit = lacking > 0
+    if not params.own_emission_wins:
+        emit &= value <= lacking
+    forward = ~emit & (value > 0) & (value - 1.0 > params.forward_threshold)
+    senders = np.flatnonzero(emit | forward)
+    if not len(senders):
+        return new_value, new_origin, new_link, new_from, 0, 0
+
+    # One entry per (sender, link): each sender's CSR slots, back to back.
+    degrees = topology.degrees[senders]
+    sender = np.repeat(senders, degrees)
+    shift = topology.adj_indptr[senders] - (np.cumsum(degrees) - degrees)
+    slots = np.arange(len(sender)) + np.repeat(shift, degrees)
+    via = topology.adj_links[slots]
+    # A forwarder never sends back along its arrival link; an emitter uses all.
+    keep = emit[sender] | (via != link[sender])
+    sender, via, receiver = sender[keep], via[keep], topology.adj_neighbors[slots[keep]]
+    emitted = emit[sender]
+    out_value = np.where(emitted, lacking[sender], value[sender] - 1.0)
+    out_origin = np.where(emitted, sender, origin[sender])
+
+    # Each receiver keeps its first packet by (higher value, lower origin,
+    # lower link). A receiver hears a link once, so the order is strict.
+    order = np.lexsort((via, out_origin, -out_value, receiver))
+    win = order[np.diff(receiver[order], prepend=-1) != 0]
+    at = receiver[win]
+    new_value[at], new_origin[at], new_link[at], new_from[at] = (
+        out_value[win], out_origin[win], via[win], sender[win]
+    )
+
+    per_connection += np.bincount(via, minlength=len(per_connection))
+    peak = np.bincount(2 * via + (sender < receiver)).max(initial=0)
+    return new_value, new_origin, new_link, new_from, len(via), int(peak)
 
 
 def flood_trace(

@@ -340,7 +340,8 @@ def save_topology(topology: Topology, path: str | Path) -> None:
 def load_topology(path: str | Path) -> Topology:
     """Read `save_topology`'s form. A node line without a fragment is in
     fragment 0, so files without fragments or bridges load as one fragment.
-    A line that does not parse, or names a node outside the header's count,
+    A line that does not parse, names a node outside the header's count,
+    repeats a node, or makes a self-loop or a second edge between two nodes
     is a `TopologyError` naming the file and the line."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
@@ -350,23 +351,32 @@ def load_topology(path: str | Path) -> Topology:
     roles: dict[int, NodeRole] = {}
     fragments: dict[int, int] = {}
     pairs: dict[str, list[tuple[int, int]]] = {"edge": [], "bridge": []}
+    seen_edges: set[tuple[int, int]] = set()
     for index, line in enumerate(lines):
         kind, *fields = line.split()
         try:
             if index == 0:
                 count = int(fields[0])
             elif kind == "node":
-                roles[int(fields[0])] = NodeRole(fields[1])
-                fragments[int(fields[0])] = int(fields[2]) if len(fields) > 2 else 0
+                node = int(fields[0])
+                if node in roles:
+                    raise ValueError("repeated node")
+                roles[node] = NodeRole(fields[1])
+                fragments[node] = int(fields[2]) if len(fields) > 2 else 0
             elif kind in pairs:
                 u, v = int(fields[0]), int(fields[1])
                 if not (0 <= u < count and 0 <= v < count):
                     raise ValueError(f"node outside 0..{count - 1}")
-                pairs[kind].append((min(u, v), max(u, v)))
+                pair = (min(u, v), max(u, v))
+                if kind == "edge":
+                    if u == v or pair in seen_edges:
+                        raise ValueError("self-loop" if u == v else "duplicate edge")
+                    seen_edges.add(pair)
+                pairs[kind].append(pair)
             else:
                 raise ValueError("unknown line kind")
         except (ValueError, IndexError) as exc:
-            raise TopologyError(f"{path}: bad line {line!r}") from exc
+            raise TopologyError(f"{path}: bad line {line!r}: {exc}") from exc
     if sorted(roles) != list(range(count)):
         raise TopologyError(f"{path}: node ids are not dense 0..{count - 1}")
     edges = [Connection(i, u, v) for i, (u, v) in enumerate(sorted(pairs["edge"]))]

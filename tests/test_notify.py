@@ -1,6 +1,7 @@
 """Notification protocol: emission, decay, forwarding, and the flood shape.
 
-Emission, decay and forwarding are the reference model's per-packet rules.
+Emission, decay and forwarding are the reference model's per-packet rules;
+the engine's array `relay` is checked against them on arbitrary states.
 The flood shape of `flood_trace`, which runs the engine's relay, is checked
 against an independent breadth-first search: an emission of integer value V
 must reach exactly the nodes within V hops, each on the step equal to its hop

@@ -170,6 +170,15 @@ class TestCli:
         assert main(["sweep", str(tiny_scenario), "--out-dir", str(parallel), "--jobs", "2"]) == 0
         assert (serial / "runs.csv").read_bytes() == (parallel / "runs.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4", "two"])
+    def test_sweep_jobs_below_one_is_a_usage_error(self, tiny_scenario, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", str(tiny_scenario), "--out-dir", str(out), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_topology(self, tiny_scenario, tmp_path):
         out = tmp_path / "net.topo"
         assert main(["gen-topology", str(tiny_scenario), str(out)]) == 0

@@ -254,6 +254,9 @@ def test_load_rejects_malformed_files(tmp_path):
         (two_nodes + "edge 0 5\n", "edge 0 5"),
         (two_nodes + "edge 1\n", "edge 1"),
         ("nodes x\nnode 0 gateway\n", "nodes x"),
+        (two_nodes + "edge 1 1\n", "edge 1 1.*self-loop"),
+        (two_nodes + "edge 0 1\nedge 1 0\n", "edge 1 0.*duplicate edge"),
+        (two_nodes + "node 0 router\n", "node 0 router.*repeated node"),
     ]:
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(TopologyError, match=f"bad.topo.*{line}"):
