@@ -32,7 +32,7 @@ from sentinet import (
     flood_trace,
     generate_topology,
 )
-from sentinet import notify
+from sentinet.notify import relay
 
 
 def bfs_distances(n_nodes, edge_pairs, origin):
@@ -226,7 +226,7 @@ class TestRelayMatchesOracle:
         counts = np.array(data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)), dtype=np.int64)
         per_connection = counts.copy()
 
-        got_value, got_origin, got_link, got_sender, sent, peak = notify.relay(
+        got_value, got_origin, got_link, got_sender, sent, peak = relay(
             topo, params, lacking, value, origin, link, per_connection
         )
 
@@ -259,7 +259,7 @@ class TestRelayMatchesOracle:
         topo = _with_isolated_node(random_connected_graph(np.random.default_rng(9), max_nodes=20)[0])
         n, m = topo.node_count, len(topo.edges)
         per_connection = np.arange(1, m + 1, dtype=np.int64)
-        value, origin, link, sender, sent, peak = notify.relay(
+        value, origin, link, sender, sent, peak = relay(
             topo, NotifyParams(), np.zeros(n), np.zeros(n),
             np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int64), per_connection,
         )
