@@ -5,6 +5,7 @@ same closed forms, and empirical selection frequencies are checked against
 the analytic weights at three standard deviations over a million draws.
 """
 
+import copy
 import math
 from decimal import Decimal, getcontext
 
@@ -13,10 +14,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentinet import Connection, NodeRole, Topology, TrailParams, TrailState, trail_decay, trail_increase
+from reference_model import roulette_pick
+from test_notify import random_connected_graph
+
+from sentinet import (
+    Connection,
+    Engine,
+    MovementParams,
+    NodeRole,
+    SimulationConfig,
+    Topology,
+    TopologyConfig,
+    TrailParams,
+    TrailState,
+    trail_decay,
+    trail_increase,
+)
 from sentinet.trails import roulette_weights, selection_probabilities
 
 PARAMS = TrailParams()  # increase_base 10, increase_scale 1/1000, decay_step 2
+SHIPPED = TrailParams(increase_base=400.0, increase_scale=0.001, decay_step=0.5, value_cap=450.0)
 
 
 def decimal_increase(old: float, params: TrailParams) -> float:
@@ -245,3 +262,113 @@ class TestSelection:
         for pick in range(1, int(weights.sum()) + 1):
             tally[state.topology.adj_neighbors[state.select_next_hop(0, 1, StubRng(pick))]] += 1
         assert list(tally[1:]) == list(weights)
+
+
+@st.composite
+def node_checker_states(draw):
+    """An engine topology with a degree-1 leaf and an isolated node, and node
+    checkers placed on a few nodes so that (node, type) keys repeat in id order."""
+    graph_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree, pairs = random_connected_graph(graph_rng, max_nodes=12)
+    n = tree.node_count
+    pairs = pairs + [(0, n)]  # node n is a leaf; node n + 1 has no links
+    topology = Topology(
+        roles=[NodeRole.GATEWAY] + [NodeRole.WORKSTATION] * (n + 1),
+        edges=[Connection(i, u, v) for i, (u, v) in enumerate(pairs)],
+    )
+    cell_types = draw(st.integers(1, 3))
+    per_type = draw(st.integers(1, 6))
+    crowd = draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=4))
+    count = cell_types * per_type
+    locs = draw(st.lists(st.sampled_from(crowd), min_size=count, max_size=count))
+    fallback = draw(st.lists(st.integers(0, n + 1), max_size=4))
+    return topology, cell_types, per_type, locs, fallback
+
+
+def node_checker_engine(topology, cell_types, per_type, locs, **overrides) -> Engine:
+    config = SimulationConfig(
+        topology=TopologyConfig(node_count=topology.node_count),
+        cell_types=cell_types,
+        packet_checkers_per_type=0,
+        node_checkers_per_type=per_type,
+        **overrides,
+    )
+    engine = Engine(config, topology=topology)
+    engine.loc[engine.n_pc :] = locs
+    return engine
+
+
+def sequential_trail_moves(topology, state, locs, types, rng):
+    """One roulette pick and one bump per checker, in id order."""
+    values, locs = state.values.copy(), list(locs)
+    indptr = topology.adj_indptr.tolist()
+    for i, (node, ctype) in enumerate(zip(locs, types)):
+        start, end = indptr[node], indptr[node + 1]
+        if start == end:
+            continue
+        if state.bridge_fallback[node]:
+            slot = start + int(rng.integers(0, end - start))
+        else:
+            slot = start + roulette_pick(values[start:end, ctype].tolist(), rng)
+        values[slot, ctype] = trail_increase(float(values[slot, ctype]), state.params)
+        locs[i] = int(topology.adj_neighbors[slot])
+    return locs, values
+
+
+def sequential_uninformed_moves(topology, locs, base, rng):
+    """The resting-rate wander: a move draw, then a neighbour draw if it moves."""
+    locs = list(locs)
+    indptr = topology.adj_indptr.tolist()
+    for i, node in enumerate(locs):
+        start, end = indptr[node], indptr[node + 1]
+        if start == end or rng.random() >= base:
+            continue
+        locs[i] = int(topology.adj_neighbors[start + int(rng.random() * (end - start))])
+    return locs
+
+
+class TestNodeCheckerMovesMatchSequentialLoop:
+    @given(
+        setup=node_checker_states(),
+        params=st.sampled_from([PARAMS, SHIPPED]),
+        value_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 99),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_trail_moves_equal_one_pick_per_checker(self, setup, params, value_seed, seed):
+        topology, cell_types, per_type, locs, fallback = setup
+        engine = node_checker_engine(
+            topology, cell_types, per_type, locs, strategy="trails", trail_params=params, seed=seed
+        )
+        state = engine.trail_state
+        state.set_bridge_fallback(fallback)
+        # Trail values on both sides of the exponent cap, with ties and zeros.
+        value_rng = np.random.default_rng(value_seed)
+        shape = state.values.shape
+        picked = value_rng.choice([0.0, 1.0, 12.5, 29.0, 31.0, 400.0, 450.0], size=shape)
+        state.values[:] = np.where(value_rng.random(shape) < 0.5, picked, value_rng.uniform(0, 40, shape))
+        types = engine.cell_type[engine.n_pc :].tolist()
+        for _ in range(3):
+            rng = copy.deepcopy(engine._rng_selection)
+            before = engine.loc[engine.n_pc :].tolist()
+            want_locs, want_values = sequential_trail_moves(topology, state, before, types, rng)
+            engine._move_node_checkers()
+            assert engine.loc[engine.n_pc :].tolist() == want_locs
+            assert np.array_equal(state.values, want_values)
+            assert engine._rng_selection.bit_generator.state == rng.bit_generator.state
+            state.decay_all()
+
+    @given(setup=node_checker_states(), base=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 99))
+    @settings(max_examples=100, deadline=None)
+    def test_uninformed_moves_equal_one_decision_per_checker(self, setup, base, seed):
+        topology, cell_types, per_type, locs, _ = setup
+        engine = node_checker_engine(
+            topology, cell_types, per_type, locs, movement=MovementParams(base, 0.05, 1.0), seed=seed
+        )
+        for _ in range(3):
+            rng = copy.deepcopy(engine._rng_selection)
+            before = engine.loc[engine.n_pc :].tolist()
+            want_locs = sequential_uninformed_moves(topology, before, base, rng)
+            engine._move_node_checkers()
+            assert engine.loc[engine.n_pc :].tolist() == want_locs
+            assert engine._rng_selection.bit_generator.state == rng.bit_generator.state
