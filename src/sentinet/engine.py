@@ -50,6 +50,47 @@ def _tally(nodes: np.ndarray, types: np.ndarray, shape: tuple[int, int]) -> np.n
     return np.bincount(nodes * shape[1] + types, minlength=shape[0] * shape[1]).reshape(shape)
 
 
+def _distinct_runs(keys: np.ndarray) -> list[tuple[int, int]]:
+    """Bounds cutting `keys` in order into runs of distinct keys: each run
+    ends just before the first key that already appeared in it."""
+    order = np.argsort(keys, kind="stable")
+    repeat = keys[order[1:]] == keys[order[:-1]]
+    later, earlier = order[1:][repeat], order[:-1][repeat]
+    by_position = np.argsort(later)
+    cuts = [0]
+    for position, previous in zip(later[by_position].tolist(), earlier[by_position].tolist()):
+        if previous >= cuts[-1]:
+            cuts.append(position)
+    cuts.append(len(keys))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _resting_moves(rng: np.random.Generator, count: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which of `count` checkers move at `rate`, and each mover's neighbour
+    draw, leaving `rng` where one decision per checker would: a move draw
+    each, followed by a neighbour draw for those that move.
+
+    The draws come as one block of 2 * count. The draw after a staying one
+    always starts a decision, and within a run of moving draws decisions and
+    neighbour draws alternate, so where each decision starts is known
+    without a walk. The stream is then rewound to just past the draws used.
+    """
+    saved = rng.bit_generator.state
+    draws = rng.random(2 * count)
+    moves = draws < rate
+    index = np.arange(2 * count)
+    run_start = np.maximum.accumulate(np.where(moves, -1, index)) + 1
+    starts_decision = np.ones(2 * count, dtype=bool)
+    starts_decision[1:] = ~moves[:-1] | ((index[:-1] - run_start[:-1]) % 2 == 1)
+    decisions = np.flatnonzero(starts_decision)[:count]
+    moving = moves[decisions]
+    # `advance` also empties PCG64's 32-bit buffer: `random` never fills it,
+    # and a stream that serves the resting wander draws nothing else.
+    rng.bit_generator.state = saved
+    rng.bit_generator.advance(int(decisions[-1]) + 1 + int(moving[-1]))
+    return moving, draws[decisions[moving] + 1]
+
+
 STRATEGIES = ("uninformed", "notification", "trails", "protocols", "centralized")
 
 
@@ -244,7 +285,6 @@ class Engine:
         self.loc = np.asarray(start_nodes, dtype=np.int64)[ids % len(start_nodes)]
 
         self.pc_slice = slice(0, n_pc)
-        self.nc_ids = list(range(n_pc, n_pc + n_nc))
         self.pc_counts_by_type = _tally(self.loc[:n_pc], self.cell_type[:n_pc], (n, k + 1))
 
         self.trail_state: TrailState | None = None
@@ -294,9 +334,8 @@ class Engine:
         self._detections = np.zeros(duration, dtype=np.int64)
         self._introduced = np.zeros(duration, dtype=np.int64)
         self._entity_counts = np.zeros((duration, n), dtype=np.int32)
-        self._check_times: list[int] = []
-        self._check_nodes: list[int] = []
-        self._check_types: list[int] = []
+        # Every node checker checks every step: row t holds where each one was.
+        self._check_nodes = np.zeros((duration, n_nc), dtype=np.int32)
         self.detected_packets = 0
         self.introduced_packets = 0
         self.delivered_packets = 0
@@ -378,15 +417,12 @@ class Engine:
         )
 
     def _phase_node_checks(self) -> None:
-        t = self.t
-        for cid in self.nc_ids:
-            node = int(self.loc[cid])
-            ctype = int(self.cell_type[cid])
-            self._check_times.append(t)
-            self._check_nodes.append(node)
-            self._check_types.append(ctype)
-            if self.infections.pop((node, ctype), None) is not None:
-                self.infections_cleared += 1
+        nodes = self.loc[self.n_pc :]
+        self._check_nodes[self.t] = nodes
+        if self.infections:
+            # A (node, type) checked by several checkers is cleared once.
+            checked = set(zip(nodes.tolist(), self.cell_type[self.n_pc :].tolist()))
+            self.infections_cleared += sum(self.infections.pop(key, None) is not None for key in checked)
 
     def _phase_security(self) -> np.ndarray:
         n = self.topology.node_count
@@ -468,27 +504,25 @@ class Engine:
         self.loc[:n_pc] = np.where(movers, dest, locs)
 
     def _move_node_checkers(self) -> None:
-        rng = self._rng_selection
-        base = self.config.movement.base_probability
-        state = self.trail_state
-        topo = self.topology
-        locs, types = self.loc[self.n_pc :], self.cell_type[self.n_pc :]
-        # Python ints in the loop; the moves land together at the end.
-        starts, degrees = topo.adj_indptr[locs], topo.degrees[locs]
-        rows = zip(locs.tolist(), types.tolist(), starts.tolist(), degrees.tolist())
-        movers, slots = [], []
-        for i, (node, ctype, start, degree) in enumerate(rows):
-            if degree == 0:
-                continue
-            if state is not None:
-                slot = state.select_next_hop(node, ctype, rng)
-                state.record_traversal(slot, ctype)
-            elif rng.random() < base:
-                slot = start + int(rng.random() * degree)
-            else:
-                continue
-            movers.append(i)
-            slots.append(slot)
+        """Every node checker with a link decides in id order, drawing from the
+        selection stream exactly as one decision per checker would."""
+        topo, rng, state = self.topology, self._rng_selection, self.trail_state
+        locs = self.loc[self.n_pc :]
+        movers = np.flatnonzero(topo.degrees[locs] > 0)
+        if len(movers) == 0:
+            return
+        nodes, types = locs[movers], self.cell_type[self.n_pc :][movers]
+        if state is None:
+            moving, draws = _resting_moves(rng, len(movers), self.config.movement.base_probability)
+            movers, nodes = movers[moving], nodes[moving]
+            slots = topo.adj_indptr[nodes] + (draws * topo.degrees[nodes]).astype(np.int64)
+        else:
+            # A bump only changes what a later checker with the same
+            # (node, type) sees, so each run of distinct keys is one batch.
+            slots = np.empty(len(movers), dtype=np.int64)
+            for a, b in _distinct_runs(nodes * (self.config.cell_types + 1) + types):
+                slots[a:b] = state.select_next_hop(nodes[a:b], types[a:b], rng)
+                state.record_traversal(slots[a:b], types[a:b])
         locs[movers] = topo.adj_neighbors[slots]
 
     def _centralized_assign(self) -> None:
@@ -572,9 +606,9 @@ class Engine:
             detections_series=self._detections[: self.t].copy(),
             introduced_series=self._introduced[: self.t].copy(),
             entity_counts=self._entity_counts[: self.t].copy(),
-            check_times=np.asarray(self._check_times, dtype=np.int64),
-            check_nodes=np.asarray(self._check_nodes, dtype=np.int64),
-            check_types=np.asarray(self._check_types, dtype=np.int64),
+            check_times=np.repeat(np.arange(self.t, dtype=np.int64), self.n_nc),
+            check_nodes=self._check_nodes[: self.t].ravel().astype(np.int64),
+            check_types=np.tile(self.cell_type[self.n_pc :], self.t),
             coverage_window=self.config.default_coverage_window(),
         )
 

@@ -104,9 +104,13 @@ class Topology:
                 raise TopologyError(f"link {position} joins {conn.u} and {conn.v}, outside nodes 0..{n - 1}")
             if conn.u == conn.v:
                 raise TopologyError(f"self-loop on node {conn.u}")
+        bridge_links: set[int] = set()
         for conn in self.bridge_edges:
             if not 0 <= conn.link_id < len(self.edges) or self.edges[conn.link_id] != conn:
                 raise TopologyError(f"bridge {conn.u} {conn.v} is not an edge")
+            if conn.link_id in bridge_links:
+                raise TopologyError(f"duplicate bridge {conn.u} {conn.v}")
+            bridge_links.add(conn.link_id)
         if not self.fragment_of:
             self.fragment_of = [0] * n
         if len(self.fragment_of) != n:
@@ -341,8 +345,8 @@ def load_topology(path: str | Path) -> Topology:
     """Read `save_topology`'s form. A node line without a fragment is in
     fragment 0, so files without fragments or bridges load as one fragment.
     A line that does not parse, names a node outside the header's count,
-    repeats a node, or makes a self-loop or a second edge between two nodes
-    is a `TopologyError` naming the file and the line."""
+    repeats a node, makes a self-loop, or repeats an edge or a bridge (in
+    either orientation) is a `TopologyError` naming the file and the line."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("nodes "):
@@ -351,7 +355,7 @@ def load_topology(path: str | Path) -> Topology:
     roles: dict[int, NodeRole] = {}
     fragments: dict[int, int] = {}
     pairs: dict[str, list[tuple[int, int]]] = {"edge": [], "bridge": []}
-    seen_edges: set[tuple[int, int]] = set()
+    seen: dict[str, set[tuple[int, int]]] = {"edge": set(), "bridge": set()}
     for index, line in enumerate(lines):
         kind, *fields = line.split()
         try:
@@ -368,10 +372,11 @@ def load_topology(path: str | Path) -> Topology:
                 if not (0 <= u < count and 0 <= v < count):
                     raise ValueError(f"node outside 0..{count - 1}")
                 pair = (min(u, v), max(u, v))
-                if kind == "edge":
-                    if u == v or pair in seen_edges:
-                        raise ValueError("self-loop" if u == v else "duplicate edge")
-                    seen_edges.add(pair)
+                if kind == "edge" and u == v:
+                    raise ValueError("self-loop")
+                if pair in seen[kind]:
+                    raise ValueError(f"duplicate {kind}")
+                seen[kind].add(pair)
                 pairs[kind].append(pair)
             else:
                 raise ValueError("unknown line kind")

@@ -6,14 +6,26 @@ little each step. High value means "someone like me went that way recently",
 so next-hop selection favours the stalest direction via an inverse-weight
 roulette. Nodes can be put in a fallback mode (uniform choice) where trails
 misbehave, e.g. at bridge endpoints in fragmented networks.
+
+Selection and the bump take arrays, so the engine moves many checkers per
+call, with the same draws and values as one checker at a time:
+
+- A bump changes the weights only of a later checker with the same
+  (node, type), so a caller batches runs of checkers whose (node, type) keys
+  are distinct, cutting the id order at each repeat.
+- A fallback node has unit weights. Its draw from [1, degree] consumes the
+  stream as a uniform draw from [0, degree) would, and none at degree 1.
+- The bump takes e^old with `math.exp` per value, as `trail_increase` does:
+  `np.exp` differs from it in the last bit on some inputs below the exponent
+  cap, which would change the trail values and then the picks.
+- One call bumps each (slot, type) pair at most once; a fancy assignment
+  would drop the second bump of a repeated pair.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -77,10 +89,7 @@ class TrailState:
         self.topology = topology
         self.params = params
         self.cell_types = cell_types
-        # select_next_hop reads it once per checker per step, and list items
-        # are cheaper to read than numpy scalars.
-        self._indptr = topology.adj_indptr.tolist()
-        slots = self._indptr[-1]
+        slots = int(topology.adj_indptr[-1])
         self.values = np.zeros((slots, cell_types + 1), dtype=np.float64)
         self._decay_steps = np.full(slots, params.decay_step, dtype=np.float64)
         self.bridge_fallback = np.zeros(topology.node_count, dtype=bool)
@@ -93,35 +102,67 @@ class TrailState:
         """Per-node override: a steeper fade is the other bridge remedy."""
         if decay_step <= 0:
             raise ValueError("decay_step must be positive")
-        self._decay_steps[self._indptr[node] : self._indptr[node + 1]] = decay_step
+        indptr = self.topology.adj_indptr
+        self._decay_steps[indptr[node] : indptr[node + 1]] = decay_step
 
-    def record_traversal(self, slot: int, cell_type: int) -> None:
-        """Bump exactly the (slot, type) entry: the link taken, at the departure node."""
-        if not 1 <= cell_type <= self.cell_types:
-            raise ValueError(f"cell_type {cell_type} out of range")
-        if not 0 <= slot < len(self.values):
-            raise ValueError(f"slot {slot} out of range 0..{len(self.values) - 1}")
-        self.values[slot, cell_type] = trail_increase(float(self.values[slot, cell_type]), self.params)
+    def record_traversal(self, slots, cell_types) -> None:
+        """Bump each (slot, type) entry: the link taken, at the departure node.
+
+        Takes one pair or arrays of pairs; a pair may appear once per call.
+        Each new value is `trail_increase` of the old one: e^old is taken
+        with `math.exp`, the rest of the law is exact in array arithmetic.
+        """
+        slots, cell_types = np.atleast_1d(slots), np.atleast_1d(cell_types)
+        if ((cell_types < 1) | (cell_types > self.cell_types)).any():
+            raise ValueError(f"cell_type out of range 1..{self.cell_types}")
+        if ((slots < 0) | (slots >= len(self.values))).any():
+            raise ValueError(f"slot out of range 0..{len(self.values) - 1}")
+        pairs = np.sort(slots * (self.cell_types + 1) + cell_types)
+        if (pairs[1:] == pairs[:-1]).any():
+            raise ValueError("a (slot, type) pair is bumped at most once per call")
+        params = self.params
+        old = np.minimum(self.values[slots, cell_types], params.exponent_cap)
+        grown = np.fromiter(map(math.exp, old.tolist()), dtype=np.float64, count=len(old))
+        self.values[slots, cell_types] = np.minimum(
+            params.increase_base + params.increase_scale * grown, params.value_cap
+        )
 
     def decay_all(self) -> None:
         """One step of linear fade on every entry of every node."""
         np.subtract(self.values, self._decay_steps[:, None], out=self.values)
         np.maximum(self.values, 0.0, out=self.values)
 
-    def select_next_hop(self, node: int, cell_type: int, rng: np.random.Generator) -> int:
-        """Roulette pick among the node's links for this cell type; returns the slot.
+    def select_next_hop(self, nodes, cell_types, rng: np.random.Generator):
+        """Roulette pick among each node's links for its cell type; returns slots.
 
-        Fallback nodes choose uniformly. Elsewhere a uniform integer from
-        [1, total weight] is mapped onto the cumulative weight intervals, in
-        neighbor order, so lower trail values get proportionally more mass.
+        Weights are `roulette_weights` of the node's values, or all 1 at a
+        fallback node. One draw per node from [1, total weight], in input
+        order, is mapped onto the cumulative weight intervals in neighbor
+        order, so lower trail values get proportionally more mass. A scalar
+        node gives an int slot, an array of nodes an array of slots; the
+        picks equal one call per node only if no two nodes share a
+        (node, type) key that a bump in between would change.
         """
-        start, end = self._indptr[node], self._indptr[node + 1]
-        if start == end:
-            raise ValueError(f"node {node} has no neighbors")
-        if self.bridge_fallback[node]:
-            return start + int(rng.integers(0, end - start))
-        cumulative = list(accumulate(roulette_weights(self.values[start:end, cell_type]).tolist()))
-        return start + bisect_left(cumulative, int(rng.integers(1, cumulative[-1] + 1)))
+        scalar = np.ndim(nodes) == 0
+        nodes, cell_types = np.atleast_1d(nodes), np.atleast_1d(cell_types)
+        degrees = self.topology.degrees[nodes]
+        if not degrees.all():
+            raise ValueError(f"node {nodes[degrees == 0][0]} has no neighbors")
+        ends = degrees.cumsum()
+        firsts = ends - degrees
+        slots = np.repeat(self.topology.adj_indptr[nodes] - firsts, degrees)
+        slots += np.arange(ends[-1])
+        values = self.values[slots, np.repeat(cell_types, degrees)]
+        top = np.maximum.reduceat(values, firsts)
+        weights = np.ceil(np.maximum(1.0, np.repeat(top + 1.0, degrees) - values)).astype(np.int64)
+        fallback = self.bridge_fallback[nodes]
+        if fallback.any():
+            weights[np.repeat(fallback, degrees)] = 1
+        cumulative = weights.cumsum()
+        totals = np.add.reduceat(weights, firsts)
+        picks = rng.integers(1, totals + 1)
+        chosen = slots[cumulative.searchsorted(cumulative[ends - 1] - totals + picks)]
+        return int(chosen[0]) if scalar else chosen
 
 
 def selection_probabilities(values: np.ndarray) -> np.ndarray:

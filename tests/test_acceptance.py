@@ -299,9 +299,9 @@ def test_criterion_5_trail_laws():
     expected = selection_probabilities(np.array(values))
     draw_rng = np.random.default_rng(99)
     trials = 1_000_000
-    counts = np.zeros(5, dtype=np.int64)
-    for _ in range(trials):
-        counts[topology.adj_neighbors[state.select_next_hop(0, 1, draw_rng)]] += 1
+    # One array call: the same draws, in order, as one call per pick.
+    picks = state.select_next_hop(np.zeros(trials, dtype=np.int64), np.ones(trials, dtype=np.int64), draw_rng)
+    counts = np.bincount(topology.adj_neighbors[picks], minlength=5)
     freq_ok = True
     for idx, p in enumerate(expected):
         sigma = math.sqrt(p * (1 - p) / trials)

@@ -175,12 +175,14 @@ def test_self_loops_and_duplicate_edges_rejected():
             edges=[Connection(0, 0, 1), Connection(1, 0, 1)],
         )
     # Endpoints outside 0..n-1, link ids that are not the edge's position, a
-    # bridge that is not an edge, and a fragment list of the wrong length.
+    # bridge that is not an edge or is listed twice, and a fragment list of
+    # the wrong length.
     for bad in (
         {"edges": [Connection(0, 0, 2)]},
         {"edges": [Connection(0, -1, 1)]},
         {"edges": [Connection(5, 0, 1)]},
         {"edges": [Connection(0, 0, 1)], "bridge_edges": [Connection(1, 0, 1)]},
+        {"edges": [Connection(0, 0, 1)], "bridge_edges": [Connection(0, 0, 1)] * 2},
         {"edges": [Connection(0, 0, 1)], "fragment_of": [0]},
     ):
         with pytest.raises(TopologyError):
@@ -257,6 +259,8 @@ def test_load_rejects_malformed_files(tmp_path):
         (two_nodes + "edge 1 1\n", "edge 1 1.*self-loop"),
         (two_nodes + "edge 0 1\nedge 1 0\n", "edge 1 0.*duplicate edge"),
         (two_nodes + "node 0 router\n", "node 0 router.*repeated node"),
+        (two_nodes + "edge 0 1\nbridge 0 1\nbridge 0 1\n", "bridge 0 1.*duplicate bridge"),
+        (two_nodes + "edge 0 1\nbridge 0 1\nbridge 1 0\n", "bridge 1 0.*duplicate bridge"),
     ]:
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(TopologyError, match=f"bad.topo.*{line}"):

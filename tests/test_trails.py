@@ -3,6 +3,8 @@
 The update functions are checked against a 50-digit Decimal evaluation of the
 same closed forms, and empirical selection frequencies are checked against
 the analytic weights at three standard deviations over a million draws.
+The engine's batched node-checker moves are checked against one decision per
+checker on arbitrary states, and the numpy behaviour they rely on is pinned.
 """
 
 import copy
@@ -137,7 +139,7 @@ class TestRecordTraversal:
     def test_single_traversal_sets_exactly_one_entry(self):
         state = star_state([0, 0, 0])
         slot = 1  # node 0 to leaf 2
-        state.record_traversal(slot, cell_type=1)
+        state.record_traversal(slot, cell_types=1)
         assert state.values[slot, 1] == pytest.approx(trail_increase(0.0, PARAMS))
         nonzero = np.nonzero(state.values)
         assert len(nonzero[0]) == 1
@@ -154,7 +156,7 @@ class TestRecordTraversal:
     def test_types_are_isolated(self):
         state = star_state([0, 0])
         slot = 0  # node 0 to leaf 1
-        state.record_traversal(slot, cell_type=2)
+        state.record_traversal(slot, cell_types=2)
         assert state.values[slot, 1] == 0.0
         assert state.values[slot, 3] == 0.0
 
@@ -184,6 +186,12 @@ class TestRecordTraversal:
             assert (state.values <= params.value_cap).all()
 
 
+def draw_from_node_0(state: TrailState, trials: int, rng) -> np.ndarray:
+    """`trials` type-1 picks at node 0 in one call: the same draws, in order,
+    as one call per pick, since no bump happens in between."""
+    return state.select_next_hop(np.zeros(trials, dtype=np.int64), np.ones(trials, dtype=np.int64), rng)
+
+
 class TestSelection:
     def test_worked_weight_partition(self):
         # Trail values (1, 5, 10, 100) produce integer weights (100, 96, 91, 1)
@@ -199,10 +207,8 @@ class TestSelection:
     def test_equal_values_select_uniformly(self):
         state = star_state([7.0, 7.0, 7.0])
         rng = np.random.default_rng(11)
-        counts = np.zeros(4, dtype=int)
         trials = 90_000
-        for _ in range(trials):
-            counts[state.topology.adj_neighbors[state.select_next_hop(0, 1, rng)]] += 1
+        counts = np.bincount(state.topology.adj_neighbors[draw_from_node_0(state, trials, rng)], minlength=4)
         for leaf in (1, 2, 3):
             assert abs(counts[leaf] / trials - 1 / 3) < 0.01
 
@@ -216,9 +222,7 @@ class TestSelection:
         expected = selection_probabilities(np.array(values))
         rng = np.random.default_rng(42)
         trials = 1_000_000
-        counts = np.zeros(5, dtype=np.int64)
-        for _ in range(trials):
-            counts[state.topology.adj_neighbors[state.select_next_hop(0, 1, rng)]] += 1
+        counts = np.bincount(state.topology.adj_neighbors[draw_from_node_0(state, trials, rng)], minlength=5)
         for idx, p in enumerate(expected):
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(counts[idx + 1] / trials - p) <= 3 * sigma
@@ -227,10 +231,8 @@ class TestSelection:
         state = star_state([0.0, 50.0, 900.0])
         state.set_bridge_fallback([0])
         rng = np.random.default_rng(3)
-        counts = np.zeros(4, dtype=int)
         trials = 90_000
-        for _ in range(trials):
-            counts[state.topology.adj_neighbors[state.select_next_hop(0, 1, rng)]] += 1
+        counts = np.bincount(state.topology.adj_neighbors[draw_from_node_0(state, trials, rng)], minlength=4)
         for leaf in (1, 2, 3):
             assert abs(counts[leaf] / trials - 1 / 3) < 0.01
 
@@ -262,6 +264,51 @@ class TestSelection:
         for pick in range(1, int(weights.sum()) + 1):
             tally[state.topology.adj_neighbors[state.select_next_hop(0, 1, StubRng(pick))]] += 1
         assert list(tally[1:]) == list(weights)
+
+
+class TestBatchedDrawFacts:
+    """What the batched node-checker moves rely on, pinned for this numpy."""
+
+    def test_array_integers_equal_the_scalar_sequence(self):
+        highs = np.random.default_rng(5).integers(1, 400, size=500)
+        batch, scalar = np.random.default_rng(8), np.random.default_rng(8)
+        drawn = batch.integers(1, highs + 1)
+        assert drawn.tolist() == [int(scalar.integers(1, high + 1)) for high in highs.tolist()]
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+    def test_one_based_draw_consumes_as_the_zero_based_one(self):
+        for degree in range(1, 30):
+            zero, one = np.random.default_rng(degree), np.random.default_rng(degree)
+            before = zero.bit_generator.state
+            assert int(one.integers(1, degree + 1)) == int(zero.integers(0, degree)) + 1
+            assert one.bit_generator.state == zero.bit_generator.state
+            if degree == 1:
+                assert zero.bit_generator.state == before
+
+    def test_block_rewound_and_advanced_equals_scalar_draws(self):
+        for used in (0, 1, 7, 13, 20):
+            block, scalar = np.random.default_rng(21), np.random.default_rng(21)
+            saved = block.bit_generator.state
+            draws = block.random(20)
+            block.bit_generator.state = saved
+            block.bit_generator.advance(used)
+            assert draws[:used].tolist() == [scalar.random() for _ in range(used)]
+            assert block.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("params", [PARAMS, SHIPPED, TrailParams(value_cap=1e15)])
+    def test_array_bump_equals_trail_increase(self, params):
+        old = np.random.default_rng(13).uniform(0.0, params.exponent_cap, size=10_000)
+        state = TrailState(star_topology(len(old)), params, cell_types=1)
+        slots = np.arange(len(old))  # node 0's links
+        state.values[slots, 1] = old
+        state.record_traversal(slots, np.ones(len(old), dtype=np.int64))
+        assert state.values[slots, 1].tolist() == [trail_increase(v, params) for v in old.tolist()]
+
+    def test_repeated_pair_rejected(self):
+        state = star_state([0, 0])
+        with pytest.raises(ValueError):
+            state.record_traversal(np.array([0, 1, 0]), np.array([1, 1, 1]))
+        state.record_traversal(np.array([0, 0]), np.array([1, 2]))
 
 
 @st.composite
