@@ -5,10 +5,10 @@ information protocols that steer them (deficiency notifications and traversal
 trails), and the uninformed and centralized baselines to compare them against.
 """
 
-from .engine import ConfigError, Engine, MovementParams, SimulationConfig, plan_rebalance, run
+from .engine import ConfigError, Engine, MovementParams, SimulationConfig, plan_rebalance
 from .metrics import MetricsReport
 from .notify import NotifyParams, flood_trace
-from .threat import Infection, TrafficConfig, TrafficPacket, TrafficSource
+from .threat import TrafficConfig, TrafficSource
 from .topology import (
     Connection,
     NodeRole,
@@ -27,7 +27,6 @@ __all__ = [
     "ConfigError",
     "Connection",
     "Engine",
-    "Infection",
     "MetricsReport",
     "MovementParams",
     "NodeRole",
@@ -37,7 +36,6 @@ __all__ = [
     "TopologyConfig",
     "TopologyError",
     "TrafficConfig",
-    "TrafficPacket",
     "TrafficSource",
     "TrailParams",
     "TrailState",
@@ -45,7 +43,6 @@ __all__ = [
     "generate_topology",
     "load_topology",
     "plan_rebalance",
-    "run",
     "save_topology",
     "trail_decay",
     "trail_increase",

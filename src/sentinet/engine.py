@@ -25,7 +25,7 @@ import numpy as np
 
 from .metrics import MetricsReport
 from .notify import NotifyParams, relay
-from .threat import Infection, TrafficConfig, TrafficPacket, TrafficSource
+from .threat import TrafficConfig, TrafficPacket, TrafficSource
 from .topology import NodeRole, Topology, TopologyConfig, TopologyError, generate_topology
 from .trails import TrailParams, TrailState
 
@@ -43,11 +43,6 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     )
-
-
-def _tally(nodes: np.ndarray, types: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Cells per (node, type) as a matrix of `shape`."""
-    return np.bincount(nodes * shape[1] + types, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def _distinct_runs(keys: np.ndarray) -> list[tuple[int, int]]:
@@ -177,15 +172,17 @@ class SimulationConfig:
                 f"start_fragment: must lie in [0, {self.topology.fragment_count}), "
                 f"got {self.start_fragment}"
             )
+        if self.start_nodes is not None and not self.start_nodes:
+            raise ConfigError("start_nodes: must name at least one node")
         if self.coverage_window is not None and self.coverage_window < 1:
             raise ConfigError("coverage_window: must be at least 1")
 
-    def default_coverage_window(self) -> int:
+    def default_coverage_window(self, node_count: int) -> int:
         if self.coverage_window is not None:
             return self.coverage_window
         if self.node_checkers_per_type == 0:
             return 0
-        return max(1, round(4 * self.topology.node_count / self.node_checkers_per_type))
+        return max(1, round(4 * node_count / self.node_checkers_per_type))
 
 
 def plan_rebalance(counts: np.ndarray, required: np.ndarray) -> list[tuple[int, int, int]]:
@@ -284,9 +281,6 @@ class Engine:
         ids = np.arange(n_pc + n_nc)
         self.loc = np.asarray(start_nodes, dtype=np.int64)[ids % len(start_nodes)]
 
-        self.pc_slice = slice(0, n_pc)
-        self.pc_counts_by_type = _tally(self.loc[:n_pc], self.cell_type[:n_pc], (n, k + 1))
-
         self.trail_state: TrailState | None = None
         if self.trails_on:
             self.trail_state = TrailState(topology, config.trail_params, k)
@@ -302,7 +296,7 @@ class Engine:
 
         self.traffic_source = TrafficSource(config.traffic, topology, k)
         self.in_flight: list[TrafficPacket] = []
-        self.infections: dict[tuple[int, int], Infection] = {}
+        self.infections: set[tuple[int, int]] = set()  # active (node, intrusion) pairs
 
         self._rng_traffic = _substream(config.seed, _STREAM_TRAFFIC)
         self._rng_movement = _substream(config.seed, _STREAM_MOVEMENT)
@@ -356,79 +350,55 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _phase_traffic(self) -> None:
-        t = self.t
+        t, n_pc = self.t, self.n_pc
+        guarded = np.zeros((self.topology.node_count, self.config.cell_types + 1), dtype=bool)
+        guarded[self.loc[:n_pc], self.cell_type[:n_pc]] = True
         for packet in self.in_flight:
             packet.position += 1
-        new_packets, direct = self.traffic_source.generate(t, self._rng_traffic)
-        for packet in new_packets:
-            if packet.payload is not None:
-                self.introduced_packets += 1
-                self._introduced[t] += 1
+        new_packets, landed = self.traffic_source.generate(t, self._rng_traffic)
+        introduced = sum(packet.payload is not None for packet in new_packets)
+        self.introduced_packets += introduced
+        self._introduced[t] = introduced
         self.in_flight.extend(new_packets)
 
         survivors: list[TrafficPacket] = []
         for packet in self.in_flight:
-            node = packet.current_node
-            detected = (
-                packet.payload is not None
-                and self.pc_counts_by_type[node, packet.payload] > 0
-            )
-            if detected:
+            node, payload = packet.current_node, packet.payload
+            if payload is not None and guarded[node, payload]:
+                fate = "detected"
                 self.detected_packets += 1
                 self._detections[t] += 1
-                if self.record_traffic:
-                    self._log_packet(packet, "detected", node)
-                continue
-            if packet.at_destination:
+            elif packet.at_destination:
+                fate = "delivered" if payload is None else "installed"
                 self.delivered_packets += 1
-                if packet.payload is not None:
+                if payload is not None:
                     self.delivered_infected += 1
-                    key = (packet.destination, packet.payload)
-                    if key not in self.infections:
-                        self.infections[key] = Infection(
-                            packet.destination, packet.payload, t
-                        )
-                        self.infections_created += 1
-                    if self.record_traffic:
-                        self._log_packet(packet, "installed", node)
-                elif self.record_traffic:
-                    self._log_packet(packet, "delivered", node)
+                    landed.append((node, payload))
+            else:
+                survivors.append(packet)
                 continue
-            survivors.append(packet)
+            if self.record_traffic:
+                self.traffic_log.append(
+                    (t, packet.packet_id, packet.source, packet.destination, payload or 0, fate, node)
+                )
         self.in_flight = survivors
-
-        for event in direct:
-            key = (event.node, event.intrusion)
-            if key not in self.infections:
-                self.infections[key] = Infection(event.node, event.intrusion, t)
-                self.infections_created += 1
-
-    def _log_packet(self, packet: TrafficPacket, fate: str, node: int) -> None:
-        self.traffic_log.append(
-            (
-                self.t,
-                packet.packet_id,
-                packet.source,
-                packet.destination,
-                packet.payload or 0,
-                fate,
-                node,
-            )
-        )
+        fresh = set(landed) - self.infections
+        self.infections |= fresh
+        self.infections_created += len(fresh)
 
     def _phase_node_checks(self) -> None:
         nodes = self.loc[self.n_pc :]
         self._check_nodes[self.t] = nodes
         if self.infections:
             # A (node, type) checked by several checkers is cleared once.
-            checked = set(zip(nodes.tolist(), self.cell_type[self.n_pc :].tolist()))
-            self.infections_cleared += sum(self.infections.pop(key, None) is not None for key in checked)
+            cleared = self.infections & set(zip(nodes.tolist(), self.cell_type[self.n_pc :].tolist()))
+            self.infections -= cleared
+            self.infections_cleared += len(cleared)
 
     def _phase_security(self) -> np.ndarray:
         n = self.topology.node_count
-        pc_locs = self.loc[self.pc_slice]
         security = (
-            np.bincount(pc_locs, minlength=n).astype(np.float64)
+            np.bincount(self.loc[: self.n_pc], minlength=n).astype(np.float64)
             * self.config.security_value
         )
         np.maximum(self.min_security_node - security, 0.0, out=self.lacking)
@@ -496,12 +466,7 @@ class Engine:
         if wander.any():
             offsets = (u_dest[wander] * degrees[wander]).astype(np.int64)
             dest[wander] = topo.adj_neighbors[topo.adj_indptr[locs[wander]] + offsets]
-
-        moved = np.nonzero(movers)[0]
-        counts, types = self.pc_counts_by_type, self.cell_type[moved]
-        counts -= _tally(locs[moved], types, counts.shape)
-        counts += _tally(dest[moved], types, counts.shape)
-        self.loc[:n_pc] = np.where(movers, dest, locs)
+        self.loc[:n_pc] = dest
 
     def _move_node_checkers(self) -> None:
         """Every node checker with a link decides in id order, drawing from the
@@ -553,9 +518,6 @@ class Engine:
         rank = np.arange(len(origin)) - np.searchsorted(origin, origin)
         chosen = pool[np.searchsorted(locs[pool], origin) + rank]
         self.loc[chosen] = target
-        counts, types = self.pc_counts_by_type, self.cell_type[chosen]
-        counts -= _tally(origin, types, counts.shape)
-        counts += _tally(target, types, counts.shape)
         self.control_bandwidth += 2.0 * int(self._dist_from_gateway[origin].sum())
 
     # ------------------------------------------------------------------
@@ -609,10 +571,5 @@ class Engine:
             check_times=np.repeat(np.arange(self.t, dtype=np.int64), self.n_nc),
             check_nodes=self._check_nodes[: self.t].ravel().astype(np.int64),
             check_types=np.tile(self.cell_type[self.n_pc :], self.t),
-            coverage_window=self.config.default_coverage_window(),
+            coverage_window=self.config.default_coverage_window(self.topology.node_count),
         )
-
-
-def run(config: SimulationConfig, topology: Topology | None = None) -> MetricsReport:
-    """Execute one full run and return its metrics."""
-    return Engine(config, topology=topology).run()

@@ -97,12 +97,18 @@ class MetricsReport:
         """Times of the checks in span that repeat a (node, type) pair sooner
         than min_gap steps after the previous check of that pair."""
         start, end = self._span(span)
+        if end <= start:
+            return np.zeros(0, dtype=np.int64)
         mask = (self.check_times >= start) & (self.check_times < end)
-        nodes, types, times = self.check_nodes[mask], self.check_types[mask], self.check_times[mask]
-        order = np.lexsort((times, types, nodes))
-        nodes, types, times = nodes[order], types[order], times[order]
-        same_pair = (nodes[1:] == nodes[:-1]) & (types[1:] == types[:-1])
-        return times[1:][same_pair & (times[1:] - times[:-1] < min_gap)]
+        # One key per check, (node * (k + 1) + type) * span + offset, sorted in place.
+        keys = self.check_nodes[mask] * (self.cell_types + 1)
+        keys += self.check_types[mask]
+        keys *= end - start
+        keys += self.check_times[mask] - start
+        keys.sort()
+        pairs, offsets = np.divmod(keys, end - start)
+        repeats = (pairs[1:] == pairs[:-1]) & (offsets[1:] - offsets[:-1] < min_gap)
+        return offsets[1:][repeats] + start
 
     def redundant_check_count(
         self, min_gap: int, span: tuple[int, int] | None = None

@@ -55,19 +55,6 @@ class TrafficPacket:
         return self.position == len(self.path) - 1
 
 
-@dataclass(frozen=True)
-class Infection:
-    node: int
-    intrusion: int
-    installed_at: int
-
-
-@dataclass
-class DirectInfection:
-    node: int
-    intrusion: int
-
-
 class TrafficSource:
     """Deterministic per-step generator for packets and direct infections.
 
@@ -108,7 +95,8 @@ class TrafficSource:
 
     def generate(
         self, timestep: int, rng: np.random.Generator
-    ) -> tuple[list[TrafficPacket], list[DirectInfection]]:
+    ) -> tuple[list[TrafficPacket], list[tuple[int, int]]]:
+        """This step's packets, and its direct infections as (node, intrusion) pairs."""
         packets: list[TrafficPacket] = []
         n = self.topology.node_count
         for _ in range(self.config.packets_per_step):
@@ -141,12 +129,11 @@ class TrafficSource:
             )
             self._next_packet_id += 1
 
-        direct: list[DirectInfection] = []
+        direct: list[tuple[int, int]] = []
         self._infection_carry += self.config.infections_per_step
         while self._infection_carry >= 1.0:
             self._infection_carry -= 1.0
             node = int(rng.integers(0, n))
-            intrusion = int(rng.integers(1, self.cell_types + 1))
-            direct.append(DirectInfection(node=node, intrusion=intrusion))
+            direct.append((node, int(rng.integers(1, self.cell_types + 1))))
         return packets, direct
 

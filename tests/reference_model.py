@@ -1,13 +1,14 @@
 """Plain-Python reference model of a whole run: the oracle for `Engine`.
 
-Cells live in per-node lists, notifications in per-node inboxes, trails and
-infections in dicts. The adjacency and the gateway hop counts are built from
-the topology's edge list, with the model's own breadth-first search. Each
+Cells live in per-node lists, notifications in per-node inboxes, packets in
+a list, trails and infections in dicts. The adjacency and the gateway hop
+counts are built from the topology's edge list, with the model's own
+breadth-first search, and traffic comes from the model's own generator, which
+walks each gateway path back from its destination over those hop counts. Each
 rule is one small scalar function; `ReferenceModel` steps them one object at
 a time in the engine's phase order, on the engine's three RNG substreams in
-its draw order. It shares with the package only the traffic generator, the
-trail increase law, the config and report dataclasses and the
-seed-to-substream rule.
+its draw order. It shares with the package only the trail increase law, the
+config and report dataclasses and the seed-to-substream rule.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sentinet import Connection, Infection, MetricsReport, NotifyParams, TrafficSource, trail_increase
+from sentinet import Connection, MetricsReport, NodeRole, NotifyParams, trail_increase
 from sentinet.engine import _substream
 
 PACKET_CHECKER, NODE_CHECKER = "packet_checker", "node_checker"
@@ -68,6 +69,85 @@ def decide_move(cell, params, here_lacking, neighbors, best, trail_pick, uniform
         return None
     # floor(u * n) maps one uniform draw onto the neighbor index.
     return neighbors[int(uniform() * len(neighbors))][0]
+
+
+@dataclass
+class Packet:
+    packet_id: int
+    source: int
+    destination: int
+    path: list[int]
+    payload: int | None
+    position: int = 0
+
+    @property
+    def current_node(self) -> int:
+        return self.path[self.position]
+
+    @property
+    def at_destination(self) -> bool:
+        return self.position == len(self.path) - 1
+
+
+@dataclass(frozen=True)
+class Infection:
+    node: int
+    intrusion: int
+    installed_at: int
+
+
+class ReferenceTraffic:
+    """Each step: `packets_per_step` packets from the gateway, each drawing its
+    destination (the next node id instead of the gateway itself) and then its
+    payload; the internal attacks the carried rate has earned, each drawing an
+    endpoint node and then its payload; then the direct infections earned,
+    each drawing a node and then an intrusion type."""
+
+    def __init__(self, config, topology, neighbors, gateway_hops, cell_types):
+        self.config, self.neighbors, self.hops, self.cell_types = config, neighbors, gateway_hops, cell_types
+        self.n, self.gateway = topology.node_count, topology.gateway
+        endpoints = (NodeRole.WORKSTATION, NodeRole.SERVER)
+        self.endpoints = [v for v, role in enumerate(topology.roles) if role in endpoints] or list(range(self.n))
+        self.next_id, self.internal_carry, self.infection_carry = 0, 0.0, 0.0
+
+    def gateway_path(self, destination):
+        """Walked back from the destination, each time to the lowest-id
+        neighbor one hop closer to the gateway."""
+        path = [destination]
+        while path[-1] != self.gateway:
+            here = path[-1]
+            path.append(min(w for _, w in self.neighbors[here] if self.hops[w] == self.hops[here] - 1))
+        return path[::-1]
+
+    def payload(self, rng):
+        if rng.random() < self.config.infection_probability:
+            return int(rng.integers(1, self.cell_types + 1))
+        return None
+
+    def packet(self, source, destination, path, rng):
+        self.next_id += 1
+        return Packet(self.next_id - 1, source, destination, path, self.payload(rng))
+
+    def generate(self, rng):
+        """This step's packets and direct (node, intrusion) infections."""
+        packets = []
+        for _ in range(self.config.packets_per_step):
+            destination = int(rng.integers(0, self.n))
+            if destination == self.gateway:
+                destination = (destination + 1) % self.n
+            packets.append(self.packet(self.gateway, destination, self.gateway_path(destination), rng))
+        self.internal_carry += self.config.internal_attack_rate
+        while self.internal_carry >= 1.0:
+            self.internal_carry -= 1.0
+            node = self.endpoints[int(rng.integers(0, len(self.endpoints)))]
+            packets.append(self.packet(node, node, [node], rng))
+        direct = []
+        self.infection_carry += self.config.infections_per_step
+        while self.infection_carry >= 1.0:
+            self.infection_carry -= 1.0
+            node = int(rng.integers(0, self.n))
+            direct.append((node, int(rng.integers(1, self.cell_types + 1))))
+        return packets, direct
 
 
 @dataclass(frozen=True)
@@ -250,12 +330,12 @@ class ReferenceModel:
         self.trails: dict[tuple[int, int, int], float] = {}  # (node, link, type) -> value
         self.inboxes = [[] for _ in range(n)]
         self.infections: dict[tuple[int, int], Infection] = {}
-        self.source = TrafficSource(config.traffic, topology, config.cell_types)
         self.in_flight = []
         streams = (_substream(config.seed, index) for index in (1, 2, 3))  # traffic, movement, selection
         self.rng_traffic, self.rng_movement, self.rng_selection = streams
         self.neighbors = adjacency(topology)
         self.gateway_hops = hop_counts(self.neighbors, topology.gateway)
+        self.source = ReferenceTraffic(config.traffic, topology, self.neighbors, self.gateway_hops, config.cell_types)
 
         self.delivered_infected = self.created = self.cleared = self.max_load = 0
         self.bandwidth = 0.0
@@ -283,7 +363,7 @@ class ReferenceModel:
         # (1) traffic moves one hop, then is inspected where it stands
         for packet in self.in_flight:
             packet.position += 1
-        new, direct = self.source.generate(t, self.rng_traffic)
+        new, direct = self.source.generate(self.rng_traffic)
         series["introduced_series"].append(sum(p.payload is not None for p in new))
         detected, survivors = 0, []
         for packet in self.in_flight + new:
@@ -297,9 +377,9 @@ class ReferenceModel:
                 survivors.append(packet)
         self.in_flight = survivors
         series["detections_series"].append(detected)
-        for event in direct:
-            if (event.node, event.intrusion) not in self.infections:
-                self.infections[(event.node, event.intrusion)] = Infection(event.node, event.intrusion, t)
+        for node, intrusion in direct:
+            if (node, intrusion) not in self.infections:
+                self.infections[(node, intrusion)] = Infection(node, intrusion, t)
                 self.created += 1
         # (2) node checks
         for cell in self.cells[self.n_pc :]:
@@ -376,6 +456,6 @@ class ReferenceModel:
             notification_packets_total=sent,
             max_link_load=self.max_load,
             notification_per_connection=np.array(self.per_connection),
-            coverage_window=config.default_coverage_window(),
+            coverage_window=config.default_coverage_window(self.topology.node_count),
             **series,
         )

@@ -36,6 +36,7 @@ from sentinet import (
     TopologyError,
     TrafficConfig,
     TrailParams,
+    generate_topology,
     plan_rebalance,
 )
 from sentinet.engine import STRATEGIES
@@ -66,7 +67,12 @@ def valid_configs(draw) -> SimulationConfig:
     nodes = draw(st.integers(2, 20))
     fragments = draw(st.integers(1, 2)) if nodes >= 4 else 1
     return SimulationConfig(
-        topology=TopologyConfig(node_count=nodes, fragment_count=fragments, seed=draw(st.integers(0, 99))),
+        topology=TopologyConfig(
+            node_count=nodes,
+            fragment_count=fragments,
+            backbone_redundancy=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            seed=draw(st.integers(0, 99)),
+        ),
         cell_types=draw(st.integers(1, 4)),
         packet_checkers_per_type=draw(st.integers(0, 6)),
         node_checkers_per_type=draw(st.integers(0, 6)),
@@ -140,6 +146,7 @@ class TestConfigValidation:
             (dict(security_value=float("nan")), "security_value"),
             (dict(bridge_decay_step=float("inf")), "bridge_decay_step"),
             (dict(start_fragment=1), "start_fragment"),
+            (dict(start_nodes=[]), "start_nodes"),
         ],
     )
     def test_non_finite_and_out_of_range_rejected(self, overrides, key):
@@ -527,6 +534,11 @@ class TestConfigWiring:
         config = small_config(min_security=2.0, min_security_by_node={0: 11.0})
         engine = Engine(config)
         assert engine.min_security_node[0] == 11.0
+
+    def test_default_coverage_window_follows_the_given_topology(self):
+        topology = generate_topology(TopologyConfig(node_count=12, seed=5))
+        engine = Engine(SimulationConfig(cell_types=2, duration=5), topology=topology)
+        assert engine.run().coverage_window == 4 * 12
 
     def test_start_fragment_places_every_cell_inside_it(self):
         config = small_config(

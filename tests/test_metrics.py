@@ -107,6 +107,7 @@ class TestRedundantChecks:
 
     def test_empty_history(self):
         assert report_with_checks([]).redundant_check_count(5) == 0
+        assert report_with_checks([(7, 0, 1), (7, 1, 1)]).redundant_check_count(5, span=(7, 7)) == 0
 
 
 class TestSerialization:

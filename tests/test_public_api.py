@@ -3,11 +3,11 @@
 import sentinet
 
 PUBLIC_API = [
-    "ConfigError", "Connection", "Engine", "Infection", "MetricsReport",
-    "MovementParams", "NodeRole", "NotifyParams", "SimulationConfig", "Topology",
-    "TopologyConfig", "TopologyError", "TrafficConfig", "TrafficPacket", "TrafficSource",
-    "TrailParams", "TrailState", "flood_trace", "generate_topology", "load_topology",
-    "plan_rebalance", "run", "save_topology", "trail_decay", "trail_increase",
+    "ConfigError", "Connection", "Engine", "MetricsReport", "MovementParams",
+    "NodeRole", "NotifyParams", "SimulationConfig", "Topology", "TopologyConfig",
+    "TopologyError", "TrafficConfig", "TrafficSource", "TrailParams", "TrailState",
+    "flood_trace", "generate_topology", "load_topology", "plan_rebalance", "save_topology",
+    "trail_decay", "trail_increase",
 ]
 
 

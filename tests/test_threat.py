@@ -3,10 +3,11 @@ delivery and node-check rules (tests/reference_model.py)."""
 
 import numpy as np
 import pytest
-from reference_model import NODE_CHECKER, PACKET_CHECKER, Cell, check_node, inspect_packet
-from reference_model import packet_delivery_outcome
+from reference_model import NODE_CHECKER, PACKET_CHECKER, Cell, Infection, ReferenceTraffic, adjacency
+from reference_model import check_node, hop_counts, inspect_packet, packet_delivery_outcome
 
-from sentinet import Infection, TopologyConfig, TrafficConfig, TrafficPacket, TrafficSource, generate_topology
+from sentinet import TopologyConfig, TrafficConfig, generate_topology
+from sentinet.threat import TrafficPacket, TrafficSource
 
 
 def _pc(cell_type, node=0):
@@ -96,6 +97,24 @@ class TestGeneration:
         rng = np.random.default_rng(6)
         total = sum(len(source.generate(t, rng)[1]) for t in range(10))
         assert total == 5
+
+    @pytest.mark.parametrize("redundancy", [0.0, 0.5])
+    def test_generator_matches_the_reference_traffic(self, redundancy):
+        """Same packets, paths and direct infections; redundant backbone links
+        give some destinations more than one shortest path."""
+        topology = generate_topology(TopologyConfig(node_count=200, backbone_redundancy=redundancy, seed=8))
+        config = TrafficConfig(packets_per_step=25, infection_probability=0.4, internal_attack_rate=1.5,
+                               infections_per_step=0.75)
+        neighbors = adjacency(topology)
+        oracle = ReferenceTraffic(config, topology, neighbors, hop_counts(neighbors, topology.gateway), 7)
+        source = TrafficSource(config, topology, 7)
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for t in range(20):
+            packets, direct = source.generate(t, rng)
+            expected, expected_direct = oracle.generate(oracle_rng)
+            fields = [(p.packet_id, p.source, p.destination, p.path, p.payload) for p in packets]
+            assert fields == [(p.packet_id, p.source, p.destination, p.path, p.payload) for p in expected]
+            assert direct == expected_direct
 
 
 class TestInspection:
