@@ -3,6 +3,7 @@
 import copy
 import json
 import tempfile
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -197,7 +198,7 @@ class TestDeterminism:
         assert json.dumps(a.summary(), sort_keys=True) == json.dumps(b.summary(), sort_keys=True)
         assert np.array_equal(a.deficiency_series, b.deficiency_series)
         assert np.array_equal(a.entity_counts, b.entity_counts)
-        assert np.array_equal(a.check_times, b.check_times)
+        assert np.array_equal(a.check_nodes, b.check_nodes)
 
     def test_different_seeds_differ(self):
         a = Engine(small_config(seed=1)).run()
@@ -445,6 +446,69 @@ class TestEngineMatchesReferenceModel:
     def test_every_strategy_matches_step_by_step(self, config):
         for strategy in STRATEGIES:
             assert_matches_reference(replace(config, strategy=strategy))
+
+
+def plain_checked_fraction(rows, node_count, cell_types, window, span, nodes=None):
+    """Covered (window, node, type) slots over all slots of the complete
+    windows in span; rows[t] lists the (node, type) each node checker
+    checked at step t."""
+    start, end = span
+    n_windows = (end - start) // window
+    node_list = list(range(node_count)) if nodes is None else nodes
+    if n_windows == 0 or not node_list or cell_types == 0:
+        return 0.0
+    covered = {
+        ((t - start) // window, node, ctype)
+        for t in range(start, start + n_windows * window)
+        for node, ctype in rows[t]
+        if node in node_list
+    }
+    return len(covered) / (n_windows * len(node_list) * cell_types)
+
+
+def plain_redundant_times(rows, min_gap, span):
+    """Steps of the checks in span that come sooner than min_gap after the
+    previous check in span of the same (node, type)."""
+    last, times = {}, []
+    for t in range(*span):
+        for key in rows[t]:
+            if key in last and t - last[key] < min_gap:
+                times.append(t)
+            last[key] = t
+    return times
+
+
+class TestCoverageMatchesPlainCount:
+    @example(config=small_config(strategy="trails"))
+    @over_random_configs
+    def test_engine_report_equals_a_count_over_checker_locations(self, config):
+        """Coverage, repeats and the CSV check columns against plain loops over
+        where the reference model's node checkers stood at each step."""
+        engine = Engine(config)
+        model = ReferenceModel(config, engine.topology)
+        rows = []
+        for _ in range(config.duration):
+            rows.append([(cell.location, cell.cell_type) for cell in model.cells[model.n_pc :]])
+            model.step()
+        report = engine.run()
+        duration, n, k = config.duration, engine.topology.node_count, config.cell_types
+        spans = [(0, duration), (duration // 2, duration), (duration // 3, 2 * duration // 3)]
+        for span in spans:
+            for window in (1, 2, 5, max(1, report.coverage_window)):
+                for nodes in (None, list(range(0, n, 2))):
+                    expected = plain_checked_fraction(rows, n, k, window, span, nodes)
+                    assert report.checked_fraction(window, span, nodes) == expected, (span, window, nodes)
+            for min_gap in (1, 2, 4, 9):
+                expected = len(plain_redundant_times(rows, min_gap, span))
+                assert report.redundant_check_count(min_gap, span) == expected, (span, min_gap)
+
+        min_gap = max(1, report.coverage_window // 4)
+        header, *lines = output_bytes(report)[1].decode().splitlines()
+        columns = header.split(",")
+        table = [dict(zip(columns, map(int, line.split(",")))) for line in lines]
+        redundant = Counter(plain_redundant_times(rows, min_gap, (0, duration)))
+        assert [row["checks"] for row in table] == [len(checks) for checks in rows]
+        assert [row["redundant_checks"] for row in table] == [redundant[t] for t in range(duration)]
 
 
 def run_phases_before_movement(engine: Engine) -> None:
