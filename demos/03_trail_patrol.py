@@ -34,7 +34,7 @@ BASE = dict(
 def visit_gaps(report, n_nodes):
     gaps = []
     for node in range(n_nodes):
-        times = report.check_times[report.check_nodes == node]
+        times = np.flatnonzero(report.check_nodes[:, 0] == node)
         if len(times) < 2:
             gaps.append(report.duration)
         else:

@@ -258,7 +258,7 @@ class Engine:
         # Cells are id-ordered: packet checkers type-major, then node checkers.
         n_pc = k * config.packet_checkers_per_type
         n_nc = k * config.node_checkers_per_type
-        self.n_pc, self.n_nc = n_pc, n_nc
+        self.n_pc = n_pc
         self.cell_type = np.empty(n_pc + n_nc, dtype=np.int64)
         for t in range(k):
             a = t * config.packet_checkers_per_type
@@ -330,14 +330,11 @@ class Engine:
         self._entity_counts = np.zeros((duration, n), dtype=np.int32)
         # Every node checker checks every step: row t holds where each one was.
         self._check_nodes = np.zeros((duration, n_nc), dtype=np.int32)
-        self.detected_packets = 0
-        self.introduced_packets = 0
         self.delivered_packets = 0
         self.delivered_infected = 0
         self.infections_created = 0
         self.infections_cleared = 0
         self.control_bandwidth = 0.0
-        self.notification_packets_total = 0
         self.max_link_load = 0
 
         self.record_traffic = record_traffic
@@ -355,10 +352,8 @@ class Engine:
         guarded[self.loc[:n_pc], self.cell_type[:n_pc]] = True
         for packet in self.in_flight:
             packet.position += 1
-        new_packets, landed = self.traffic_source.generate(t, self._rng_traffic)
-        introduced = sum(packet.payload is not None for packet in new_packets)
-        self.introduced_packets += introduced
-        self._introduced[t] = introduced
+        new_packets, landed = self.traffic_source.generate(self._rng_traffic)
+        self._introduced[t] = sum(packet.payload is not None for packet in new_packets)
         self.in_flight.extend(new_packets)
 
         survivors: list[TrafficPacket] = []
@@ -366,7 +361,6 @@ class Engine:
             node, payload = packet.current_node, packet.payload
             if payload is not None and guarded[node, payload]:
                 fate = "detected"
-                self.detected_packets += 1
                 self._detections[t] += 1
             elif packet.at_destination:
                 fate = "delivered" if payload is None else "installed"
@@ -414,7 +408,6 @@ class Engine:
             self._notif_origin, self._notif_link, self._notif_per_connection,
         )
         self._notif_sent[self.t] = sent
-        self.notification_packets_total += sent
         self.max_link_load = max(self.max_link_load, load)
 
     def _phase_trail_decay(self) -> None:
@@ -541,26 +534,27 @@ class Engine:
             self.step()
         return self.report()
 
+    @property
+    def notification_packets_total(self) -> int:
+        """Notification packets sent so far (the benchmark harness reads it)."""
+        return int(self._notif_sent[: self.t].sum())
+
     def report(self) -> MetricsReport:
-        control = (
-            self.control_bandwidth
-            if self.centralized
-            else float(self.notification_packets_total)
-        )
+        sent = self.notification_packets_total
         return MetricsReport(
             duration=self.config.duration,
             node_count=self.topology.node_count,
             cell_types=self.config.cell_types,
             strategy=self.config.strategy,
             seed=self.config.seed,
-            detected_packets=self.detected_packets,
-            introduced_packets=self.introduced_packets,
+            detected_packets=int(self._detections[: self.t].sum()),
+            introduced_packets=int(self._introduced[: self.t].sum()),
             delivered_infected=self.delivered_infected,
             infections_created=self.infections_created,
             infections_cleared=self.infections_cleared,
             infections_active=len(self.infections),
-            control_bandwidth=control,
-            notification_packets_total=self.notification_packets_total,
+            control_bandwidth=self.control_bandwidth if self.centralized else float(sent),
+            notification_packets_total=sent,
             max_link_load=self.max_link_load,
             deficiency_series=self._deficiency[: self.t].copy(),
             notification_series=self._notif_sent[: self.t].copy(),
@@ -568,8 +562,7 @@ class Engine:
             detections_series=self._detections[: self.t].copy(),
             introduced_series=self._introduced[: self.t].copy(),
             entity_counts=self._entity_counts[: self.t].copy(),
-            check_times=np.repeat(np.arange(self.t, dtype=np.int64), self.n_nc),
-            check_nodes=self._check_nodes[: self.t].ravel().astype(np.int64),
-            check_types=np.tile(self.cell_type[self.n_pc :], self.t),
+            check_nodes=self._check_nodes[: self.t].copy(),
+            checker_types=self.cell_type[self.n_pc :].copy(),
             coverage_window=self.config.default_coverage_window(self.topology.node_count),
         )

@@ -41,11 +41,18 @@ class MetricsReport:
     introduced_series: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     entity_counts: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int32))
 
-    check_times: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    check_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    check_types: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    # Every node checker checks every step: row t holds the node each one
+    # checked at step t, and column j's checks are of type checker_types[j].
+    check_nodes: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int32))
+    checker_types: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     coverage_window: int = 0
+
+    @property
+    def check_times(self) -> np.ndarray:
+        """The step of each check, in `check_nodes.ravel()` order. Kept only
+        because the benchmark harness counts checks by its length."""
+        return np.repeat(np.arange(len(self.check_nodes)), len(self.checker_types))
 
     @property
     def detection_rate(self) -> float:
@@ -60,6 +67,15 @@ class MetricsReport:
 
     def _span(self, span: tuple[int, int] | None) -> tuple[int, int]:
         return span if span is not None else (0, self.duration)
+
+    def _pair_keys(self, start: int, end: int) -> np.ndarray:
+        """One int64 key, node * (k + 1) + type, per check at steps
+        start..end-1, as a (steps × node checkers) matrix. int64 because
+        window × node × type keys outgrow int32 on large graphs."""
+        keys = self.check_nodes[start:end].astype(np.int64)
+        keys *= self.cell_types + 1
+        keys += self.checker_types
+        return keys
 
     def checked_fraction(
         self,
@@ -79,17 +95,12 @@ class MetricsReport:
         node_list = nodes if nodes is not None else list(range(self.node_count))
         if n_windows == 0 or not node_list or self.cell_types == 0:
             return 0.0
-        mask = (self.check_times >= start) & (self.check_times < start + n_windows * window)
+        stop = start + n_windows * window
+        keys = self._pair_keys(start, stop)
+        keys += (np.arange(len(keys)) // window * (self.node_count * (self.cell_types + 1)))[:, None]
         if nodes is not None:
-            mask &= np.isin(self.check_nodes, node_list)
-        times = self.check_times[mask]
-        win = (times - start) // window
-        triples = (
-            win * (self.node_count * (self.cell_types + 1))
-            + self.check_nodes[mask] * (self.cell_types + 1)
-            + self.check_types[mask]
-        )
-        covered = len(np.unique(triples))
+            keys = keys[np.isin(self.check_nodes[start:stop], node_list)]
+        covered = len(np.unique(keys))
         total = n_windows * len(node_list) * self.cell_types
         return covered / total
 
@@ -99,16 +110,17 @@ class MetricsReport:
         start, end = self._span(span)
         if end <= start:
             return np.zeros(0, dtype=np.int64)
-        mask = (self.check_times >= start) & (self.check_times < end)
-        # One key per check, (node * (k + 1) + type) * span + offset, sorted in place.
-        keys = self.check_nodes[mask] * (self.cell_types + 1)
-        keys += self.check_types[mask]
-        keys *= end - start
-        keys += self.check_times[mask] - start
+        # One key per check, pair * (span + min_gap) + offset, sorted in place:
+        # keys of different pairs lie at least min_gap + 1 apart, so a gap
+        # under min_gap between neighbours is a repeat of one pair.
+        spacing = end - start + min_gap
+        keys = self._pair_keys(start, end)
+        keys *= spacing
+        keys += np.arange(len(keys))[:, None]
+        keys = keys.ravel()
         keys.sort()
-        pairs, offsets = np.divmod(keys, end - start)
-        repeats = (pairs[1:] == pairs[:-1]) & (offsets[1:] - offsets[:-1] < min_gap)
-        return offsets[1:][repeats] + start
+        repeats = keys[1:][np.diff(keys) < min_gap]
+        return repeats % spacing + start
 
     def redundant_check_count(
         self, min_gap: int, span: tuple[int, int] | None = None
@@ -121,6 +133,11 @@ class MetricsReport:
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
+
+    @property
+    def _min_gap(self) -> int:
+        """A check within a quarter coverage window of the last is redundant."""
+        return max(1, self.coverage_window // 4)
 
     def summary(self) -> dict:
         final_half = (self.duration // 2, self.duration)
@@ -148,7 +165,7 @@ class MetricsReport:
                 else 0.0
             ),
             "redundant_checks_final_half": (
-                self.redundant_check_count(max(1, self.coverage_window // 4), final_half)
+                self.redundant_check_count(self._min_gap, final_half)
                 if self.coverage_window > 0
                 else 0
             ),
@@ -163,38 +180,21 @@ class MetricsReport:
 
     def write_csv(self, path: str | Path) -> None:
         """Per-timestep series in a fixed column order."""
-        min_gap = max(1, self.coverage_window // 4) if self.coverage_window > 0 else 1
-        checks_per_step = np.bincount(self.check_times, minlength=self.duration)
-        redundant_per_step = np.bincount(self._redundant_check_times(min_gap), minlength=self.duration)
+        columns = {
+            "t": np.arange(self.duration),
+            "detections_cum": np.cumsum(self.detections_series),
+            "introduced_cum": np.cumsum(self.introduced_series),
+            "deficient_nodes": self.deficiency_series,
+            "notification_packets": self.notification_series,
+            # Every node checker checks every step.
+            "checks": np.full(self.duration, len(self.checker_types)),
+            "redundant_checks": np.bincount(
+                self._redundant_check_times(self._min_gap), minlength=self.duration
+            ),
+            "max_cells_per_node": self.entity_counts.max(axis=1),
+            "min_cells_per_node": self.entity_counts.min(axis=1),
+        }
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            writer.writerow(
-                [
-                    "t",
-                    "detections_cum",
-                    "introduced_cum",
-                    "deficient_nodes",
-                    "notification_packets",
-                    "checks",
-                    "redundant_checks",
-                    "max_cells_per_node",
-                    "min_cells_per_node",
-                ]
-            )
-            det_cum = np.cumsum(self.detections_series)
-            intro_cum = np.cumsum(self.introduced_series)
-            for t in range(self.duration):
-                row_counts = self.entity_counts[t]
-                writer.writerow(
-                    [
-                        t,
-                        int(det_cum[t]),
-                        int(intro_cum[t]),
-                        int(self.deficiency_series[t]),
-                        int(self.notification_series[t]),
-                        int(checks_per_step[t]),
-                        int(redundant_per_step[t]),
-                        int(row_counts.max()),
-                        int(row_counts.min()),
-                    ]
-                )
+            writer.writerow(columns.keys())
+            writer.writerows(np.column_stack(list(columns.values())).tolist())

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Topology
+from .topology import Topology, TopologyError
 
 
 @dataclass
@@ -113,6 +113,8 @@ def flood_trace(
         raise ValueError("notification packets must carry a positive value")
     params = params or NotifyParams()
     n = topology.node_count
+    if not 0 <= origin < n:
+        raise TopologyError(f"unknown node {origin}")
     lacking = np.zeros(n)
     lacking[origin] = value
     heard = (np.zeros(n), np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int64))

@@ -93,9 +93,7 @@ class TrafficSource:
             return int(rng.integers(1, self.cell_types + 1))
         return None
 
-    def generate(
-        self, timestep: int, rng: np.random.Generator
-    ) -> tuple[list[TrafficPacket], list[tuple[int, int]]]:
+    def generate(self, rng: np.random.Generator) -> tuple[list[TrafficPacket], list[tuple[int, int]]]:
         """This step's packets, and its direct infections as (node, intrusion) pairs."""
         packets: list[TrafficPacket] = []
         n = self.topology.node_count

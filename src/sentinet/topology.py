@@ -167,6 +167,7 @@ class Topology:
 
     def hop_distances(self, source: int) -> np.ndarray:
         """BFS hop counts from source; unreachable nodes get -1."""
+        self._slots(source)  # rejects an unknown node
         indptr, neighbors = self.adj_indptr.tolist(), self.adj_neighbors.tolist()
         dist = [-1] * self.node_count
         dist[source] = 0
@@ -183,6 +184,7 @@ class Topology:
 
     def shortest_path(self, source: int, target: int) -> list[int]:
         """Shortest path as a node sequence, ties broken toward lower node ids."""
+        self._slots(target)  # rejects an unknown node; hop_distances checks source
         if source == target:
             return [source]
         dist = self.hop_distances(source).tolist()
@@ -344,9 +346,10 @@ def save_topology(topology: Topology, path: str | Path) -> None:
 def load_topology(path: str | Path) -> Topology:
     """Read `save_topology`'s form. A node line without a fragment is in
     fragment 0, so files without fragments or bridges load as one fragment.
-    A line that does not parse, names a node outside the header's count,
-    repeats a node, makes a self-loop, or repeats an edge or a bridge (in
-    either orientation) is a `TopologyError` naming the file and the line."""
+    A line that does not parse, has the wrong number of fields, names a node
+    outside the header's count, repeats a node, makes a self-loop, or repeats
+    an edge or a bridge (in either orientation) is a `TopologyError` naming
+    the file and the line."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("nodes "):
@@ -356,9 +359,12 @@ def load_topology(path: str | Path) -> Topology:
     fragments: dict[int, int] = {}
     pairs: dict[str, list[tuple[int, int]]] = {"edge": [], "bridge": []}
     seen: dict[str, set[tuple[int, int]]] = {"edge": set(), "bridge": set()}
+    field_counts = {"nodes": (1,), "node": (2, 3), "edge": (2,), "bridge": (2,)}
     for index, line in enumerate(lines):
         kind, *fields = line.split()
         try:
+            if kind in field_counts and len(fields) not in field_counts[kind]:
+                raise ValueError(f"wrong number of fields for {kind!r}")
             if index == 0:
                 count = int(fields[0])
             elif kind == "node":

@@ -343,7 +343,7 @@ class ReferenceModel:
         # Per-step records, named as the report fields they become.
         self.series = {name: [] for name in (
             "deficiency_series", "notification_series", "detections_series", "introduced_series",
-            "entity_counts", "check_times", "check_nodes", "check_types",
+            "entity_counts", "check_nodes",
         )}
 
     def _move(self, cell, node):
@@ -382,10 +382,8 @@ class ReferenceModel:
                 self.infections[(node, intrusion)] = Infection(node, intrusion, t)
                 self.created += 1
         # (2) node checks
+        series["check_nodes"].append([cell.location for cell in self.cells[self.n_pc :]])
         for cell in self.cells[self.n_pc :]:
-            series["check_times"].append(t)
-            series["check_nodes"].append(cell.location)
-            series["check_types"].append(cell.cell_type)
             self.cleared += len(check_node(cell, cell.location, self.infections))
         # (3) security and deficiency
         security = [node_security(cells, config.security_value) for cells in self.cells_at]
@@ -457,5 +455,6 @@ class ReferenceModel:
             max_link_load=self.max_load,
             notification_per_connection=np.array(self.per_connection),
             coverage_window=config.default_coverage_window(self.topology.node_count),
+            checker_types=np.array([cell.cell_type for cell in self.cells[self.n_pc :]], dtype=np.int64),
             **series,
         )

@@ -282,7 +282,7 @@ class TestConservation:
         engine = Engine(config)
         report = engine.run()
         generated = engine.traffic_source._next_packet_id
-        assert generated == engine.detected_packets + engine.delivered_packets + len(engine.in_flight)
+        assert generated == report.detected_packets + engine.delivered_packets + len(engine.in_flight)
         infected_in_flight = sum(p.payload is not None for p in engine.in_flight)
         caught_or_landed = report.detected_packets + report.delivered_infected
         assert report.introduced_packets == caught_or_landed + infected_in_flight

@@ -29,6 +29,7 @@ from sentinet import (
     NotifyParams,
     Topology,
     TopologyConfig,
+    TopologyError,
     flood_trace,
     generate_topology,
 )
@@ -306,6 +307,12 @@ class TestFloodShape:
             assert all(count == 1 for count in loads.values())
             if not sends:
                 break
+
+    @pytest.mark.parametrize("origin", [-1, 20])
+    def test_unknown_origin_rejected(self, origin):
+        topo = generate_topology(TopologyConfig(node_count=20, seed=3))
+        with pytest.raises(TopologyError, match="unknown node"):
+            flood_trace(topo, origin, 3.0)
 
     def test_statelessness_between_steps(self):
         topo = generate_topology(TopologyConfig(node_count=20, seed=3))

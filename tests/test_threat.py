@@ -24,14 +24,14 @@ TOPO = generate_topology(TopologyConfig(node_count=30, seed=8))
 class TestGeneration:
     def test_zero_config_generates_nothing(self):
         source = TrafficSource(TrafficConfig(), TOPO, cell_types=5)
-        packets, direct = source.generate(0, np.random.default_rng(0))
+        packets, direct = source.generate(np.random.default_rng(0))
         assert packets == [] and direct == []
 
     def test_certain_infection_probability(self):
         source = TrafficSource(
             TrafficConfig(packets_per_step=50, infection_probability=1.0), TOPO, 5
         )
-        packets, _ = source.generate(0, np.random.default_rng(1))
+        packets, _ = source.generate(np.random.default_rng(1))
         assert len(packets) == 50
         assert all(p.payload is not None for p in packets)
 
@@ -39,7 +39,7 @@ class TestGeneration:
         source = TrafficSource(
             TrafficConfig(packets_per_step=100_000, infection_probability=0.3), TOPO, 5
         )
-        packets, _ = source.generate(0, np.random.default_rng(2))
+        packets, _ = source.generate(np.random.default_rng(2))
         infected = sum(p.payload is not None for p in packets) / len(packets)
         assert abs(infected - 0.3) < 0.01
 
@@ -50,8 +50,8 @@ class TestGeneration:
             source = TrafficSource(config, TOPO, 7)
             rng = np.random.default_rng(seed)
             out = []
-            for t in range(20):
-                packets, _ = source.generate(t, rng)
+            for _ in range(20):
+                packets = source.generate(rng)[0]
                 out.extend((p.packet_id, p.source, p.destination, p.payload) for p in packets)
             return out
 
@@ -60,7 +60,7 @@ class TestGeneration:
 
     def test_external_packets_start_at_the_gateway_on_shortest_paths(self):
         source = TrafficSource(TrafficConfig(packets_per_step=40), TOPO, 5)
-        packets, _ = source.generate(0, np.random.default_rng(3))
+        packets, _ = source.generate(np.random.default_rng(3))
         gateway = TOPO.gateway
         dist = TOPO.hop_distances(gateway)
         for p in packets:
@@ -72,7 +72,7 @@ class TestGeneration:
 
     def test_internal_attacks_are_introduced_at_a_single_node(self):
         source = TrafficSource(TrafficConfig(internal_attack_rate=2.0), TOPO, 5)
-        packets, _ = source.generate(0, np.random.default_rng(4))
+        packets, _ = source.generate(np.random.default_rng(4))
         assert len(packets) == 2
         for p in packets:
             assert p.path == [p.source] and p.source == p.destination
@@ -81,21 +81,21 @@ class TestGeneration:
         from sentinet import NodeRole
 
         source = TrafficSource(TrafficConfig(internal_attack_rate=50.0), TOPO, 5)
-        packets, _ = source.generate(0, np.random.default_rng(8))
+        packets, _ = source.generate(np.random.default_rng(8))
         roles = {TOPO.roles[p.source] for p in packets}
         assert roles <= {NodeRole.WORKSTATION, NodeRole.SERVER}
 
     def test_fractional_rates_carry_over(self):
         source = TrafficSource(TrafficConfig(internal_attack_rate=0.25), TOPO, 5)
         rng = np.random.default_rng(5)
-        counts = [len(source.generate(t, rng)[0]) for t in range(8)]
+        counts = [len(source.generate(rng)[0]) for _ in range(8)]
         assert sum(counts) == 2
         assert counts == [0, 0, 0, 1, 0, 0, 0, 1]
 
     def test_direct_infection_rate(self):
         source = TrafficSource(TrafficConfig(infections_per_step=0.5), TOPO, 5)
         rng = np.random.default_rng(6)
-        total = sum(len(source.generate(t, rng)[1]) for t in range(10))
+        total = sum(len(source.generate(rng)[1]) for _ in range(10))
         assert total == 5
 
     @pytest.mark.parametrize("redundancy", [0.0, 0.5])
@@ -109,8 +109,8 @@ class TestGeneration:
         oracle = ReferenceTraffic(config, topology, neighbors, hop_counts(neighbors, topology.gateway), 7)
         source = TrafficSource(config, topology, 7)
         rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
-        for t in range(20):
-            packets, direct = source.generate(t, rng)
+        for _ in range(20):
+            packets, direct = source.generate(rng)
             expected, expected_direct = oracle.generate(oracle_rng)
             fields = [(p.packet_id, p.source, p.destination, p.path, p.payload) for p in packets]
             assert fields == [(p.packet_id, p.source, p.destination, p.path, p.payload) for p in expected]

@@ -148,9 +148,17 @@ def test_neighbors_on_path_graph():
 
 
 def test_unknown_node_rejected():
-    topo = generate_topology(TopologyConfig(node_count=10, seed=1))
-    with pytest.raises(TopologyError):
-        topo.neighbors(10)
+    topo = generate_topology(TopologyConfig(node_count=12, seed=1))
+    for query, args in [
+        (topo.neighbors, (12,)),
+        (topo.hop_distances, (-1,)),
+        (topo.hop_distances, (12,)),
+        (topo.shortest_path, (0, -2)),
+        (topo.shortest_path, (-1, 3)),
+        (topo.shortest_path, (12, 12)),
+    ]:
+        with pytest.raises(TopologyError, match="unknown node"):
+            query(*args)
 
 
 def test_invalid_configs_rejected():
@@ -261,6 +269,9 @@ def test_load_rejects_malformed_files(tmp_path):
         (two_nodes + "node 0 router\n", "node 0 router.*repeated node"),
         (two_nodes + "edge 0 1\nbridge 0 1\nbridge 0 1\n", "bridge 0 1.*duplicate bridge"),
         (two_nodes + "edge 0 1\nbridge 0 1\nbridge 1 0\n", "bridge 1 0.*duplicate bridge"),
+        ("nodes 2 7\nnode 0 gateway\nnode 1 router\n", "nodes 2 7"),
+        ("nodes 2\nnode 0 gateway 0 extra\nnode 1 router\n", "node 0 gateway 0 extra"),
+        (two_nodes + "edge 0 1 9\n", "edge 0 1 9"),
     ]:
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(TopologyError, match=f"bad.topo.*{line}"):
