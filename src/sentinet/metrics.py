@@ -97,7 +97,8 @@ class MetricsReport:
             return 0.0
         stop = start + n_windows * window
         keys = self._pair_keys(start, stop)
-        keys += (np.arange(len(keys)) // window * (self.node_count * (self.cell_types + 1)))[:, None]
+        window_index = np.arange(len(keys)) // window
+        keys += window_index[:, None] * (self.node_count * (self.cell_types + 1))
         if nodes is not None:
             keys = keys[np.isin(self.check_nodes[start:stop], node_list)]
         covered = len(np.unique(keys))

@@ -31,8 +31,8 @@ PAIR_TYPES = [1, 1, 1, 2, 2, 2]
 
 
 def walk(visits, steps=20):
-    """One type-1 checker's row per step: node 0 at the steps in visits and
-    at t=0, else node t, so that only node 0 is ever checked twice."""
+    """One type-1 checker's row per step: node 0 at the steps in visits, else
+    node t, so that only node 0 is checked more than once."""
     return [[0 if t in visits else t] for t in range(steps)]
 
 
