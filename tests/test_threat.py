@@ -6,7 +6,8 @@ import pytest
 from reference_model import NODE_CHECKER, PACKET_CHECKER, Cell, Infection, ReferenceTraffic, adjacency
 from reference_model import check_node, hop_counts, inspect_packet, packet_delivery_outcome
 
-from sentinet import TopologyConfig, TrafficConfig, generate_topology
+from sentinet import Connection, NodeRole, Topology, TopologyConfig, TopologyError, TrafficConfig
+from sentinet import generate_topology
 from sentinet.threat import TrafficPacket, TrafficSource
 
 
@@ -70,6 +71,26 @@ class TestGeneration:
             for a, b in zip(p.path, p.path[1:]):
                 assert b in [w for _, w in TOPO.neighbors(a)]
 
+    def test_cached_gateway_paths_equal_shortest_paths(self):
+        topo = generate_topology(TopologyConfig(node_count=40, backbone_redundancy=1.5, seed=3))
+        source = TrafficSource(TrafficConfig(packets_per_step=10), topo, 5)
+        rng = np.random.default_rng(12)
+        destinations = set(range(topo.node_count)) - {topo.gateway}
+        for _ in range(500):
+            if set(source._gateway_paths) == destinations:
+                break
+            source.generate(rng)
+        assert set(source._gateway_paths) == destinations
+        for node, path in source._gateway_paths.items():
+            assert path == topo.shortest_path(topo.gateway, node)
+
+    def test_unreachable_destination_raises(self):
+        roles = [NodeRole.GATEWAY, NodeRole.ROUTER, NodeRole.WORKSTATION]
+        topo = Topology(roles=roles, edges=[Connection(0, 0, 1)])
+        source = TrafficSource(TrafficConfig(packets_per_step=50), topo, 1)
+        with pytest.raises(TopologyError, match="no path from 0 to 2"):
+            source.generate(np.random.default_rng(0))
+
     def test_internal_attacks_are_introduced_at_a_single_node(self):
         source = TrafficSource(TrafficConfig(internal_attack_rate=2.0), TOPO, 5)
         packets, _ = source.generate(np.random.default_rng(4))
@@ -78,8 +99,6 @@ class TestGeneration:
             assert p.path == [p.source] and p.source == p.destination
 
     def test_internal_attacks_target_endpoint_machines_only(self):
-        from sentinet import NodeRole
-
         source = TrafficSource(TrafficConfig(internal_attack_rate=50.0), TOPO, 5)
         packets, _ = source.generate(np.random.default_rng(8))
         roles = {TOPO.roles[p.source] for p in packets}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_model import adjacency, hop_counts
 
 from sentinet import (
     Connection,
@@ -197,16 +198,29 @@ def test_self_loops_and_duplicate_edges_rejected():
             Topology(roles=[NodeRole.GATEWAY, NodeRole.ROUTER], **bad)
 
 
+def oracle_path(neighbors, source, target):
+    """The reference walk back from the target, each time to the lowest-id
+    neighbour one hop closer to the source."""
+    hops = hop_counts(neighbors, source)
+    path = [target]
+    while path[-1] != source:
+        here = path[-1]
+        path.append(min(w for _, w in neighbors[here] if hops[w] == hops[here] - 1))
+    return path[::-1]
+
+
 def test_shortest_path_matches_bfs_distance_and_breaks_ties_low():
-    topo = generate_topology(TopologyConfig(node_count=70, backbone_redundancy=0.6, seed=21))
-    dist = topo.hop_distances(topo.gateway)
-    rng = np.random.default_rng(0)
-    for target in rng.integers(0, 70, size=12):
-        path = topo.shortest_path(topo.gateway, int(target))
-        assert len(path) == dist[target] + 1
-        assert path[0] == topo.gateway and path[-1] == target
-        for a, b in zip(path, path[1:]):
-            assert b in [w for _, w in topo.neighbors(a)]
+    configs = [TopologyConfig(node_count=70, backbone_redundancy=r, seed=21) for r in (0.0, 0.6, 2.0)]
+    configs.append(TopologyConfig(node_count=70, fragment_count=3, bridges_per_fragment_pair=2, seed=21))
+    for config in configs:
+        topo = generate_topology(config)
+        neighbors = adjacency(topo)
+        for source in (topo.gateway, 17, 52):
+            dist = topo.hop_distances(source)
+            for target in range(topo.node_count):
+                path = topo.shortest_path(source, target)
+                assert len(path) == dist[target] + 1
+                assert path == oracle_path(neighbors, source, target), (config, source, target)
 
 
 def test_save_load_round_trip(tmp_path):
