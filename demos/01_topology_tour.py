@@ -19,8 +19,7 @@ print("roles:", dict(Counter(role.value for role in topology.roles)))
 print("edges:", len(topology.edges))
 print("gateway node:", topology.gateway)
 
-degrees = [topology.degree(v) for v in range(topology.node_count)]
-print("degree range:", min(degrees), "to", max(degrees))
+print("degree range:", topology.degrees.min(), "to", topology.degrees.max())
 
 gateway_dist = topology.hop_distances(topology.gateway)
 print("network radius from gateway:", int(gateway_dist.max()))

@@ -19,7 +19,7 @@ from .topology import (
     load_topology,
     save_topology,
 )
-from .trails import TrailParams, TrailState, trail_decay, trail_increase
+from .trails import TrailParams, TrailState
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,4 @@ __all__ = [
     "load_topology",
     "plan_rebalance",
     "save_topology",
-    "trail_decay",
-    "trail_increase",
 ]

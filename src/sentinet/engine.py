@@ -310,7 +310,7 @@ class Engine:
         self._notif_origin = np.zeros(n, dtype=np.int64)
         self._notif_link = np.full(n, -1, dtype=np.int64)
 
-        self._dist_from_gateway = topology.hop_distances(topology.gateway)
+        self._dist_from_gateway = self.traffic_source.gateway_hops
         if config.traffic.packets_per_step > 0 or self.centralized:
             unreachable = np.flatnonzero(self._dist_from_gateway < 0)
             if len(unreachable):
@@ -410,7 +410,7 @@ class Engine:
         self._notif_sent[self.t] = sent
         self.max_link_load = max(self.max_link_load, load)
 
-    def _phase_trail_decay(self) -> None:
+    def _phase_trail_fade(self) -> None:
         if self.trail_state is not None:
             self.trail_state.decay_all()
             if self.record_trails:
@@ -522,7 +522,7 @@ class Engine:
         self._phase_node_checks()
         self._phase_security()
         self._phase_relay()
-        self._phase_trail_decay()
+        self._phase_trail_fade()
         self._phase_movement()
         self._entity_counts[self.t] = np.bincount(
             self.loc, minlength=self.topology.node_count
@@ -556,13 +556,15 @@ class Engine:
             control_bandwidth=self.control_bandwidth if self.centralized else float(sent),
             notification_packets_total=sent,
             max_link_load=self.max_link_load,
-            deficiency_series=self._deficiency[: self.t].copy(),
-            notification_series=self._notif_sent[: self.t].copy(),
+            # Rows before t are never written again, so views of them stay
+            # valid; later steps still add to the per-connection counts.
+            deficiency_series=self._deficiency[: self.t],
+            notification_series=self._notif_sent[: self.t],
             notification_per_connection=self._notif_per_connection.copy(),
-            detections_series=self._detections[: self.t].copy(),
-            introduced_series=self._introduced[: self.t].copy(),
-            entity_counts=self._entity_counts[: self.t].copy(),
-            check_nodes=self._check_nodes[: self.t].copy(),
-            checker_types=self.cell_type[self.n_pc :].copy(),
+            detections_series=self._detections[: self.t],
+            introduced_series=self._introduced[: self.t],
+            entity_counts=self._entity_counts[: self.t],
+            check_nodes=self._check_nodes[: self.t],
+            checker_types=self.cell_type[self.n_pc :],
             coverage_window=self.config.default_coverage_window(self.topology.node_count),
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import NodeRole, Topology
+from .topology import NodeRole, Topology, walk_back
 
 
 @dataclass
@@ -70,7 +70,10 @@ class TrafficSource:
         self._next_packet_id = 0
         self._internal_carry = 0.0
         self._infection_carry = 0.0
-        gateway = topology.gateway
+        self._gateway = topology.gateway
+        # One search from the gateway serves every destination's path and
+        # the engine's gateway hop counts.
+        self.gateway_hops, self._predecessor = topology.search(self._gateway)
         self._gateway_paths: dict[int, list[int]] = {}
         self._endpoints = [
             v
@@ -79,13 +82,10 @@ class TrafficSource:
         ]
         if not self._endpoints:
             self._endpoints = list(range(topology.node_count))
-        self._gateway = gateway
 
     def _path_from_gateway(self, destination: int) -> list[int]:
         if destination not in self._gateway_paths:
-            self._gateway_paths[destination] = self.topology.shortest_path(
-                self._gateway, destination
-            )
+            self._gateway_paths[destination] = walk_back(self._predecessor, self._gateway, destination)
         return self._gateway_paths[destination]
 
     def _draw_payload(self, rng: np.random.Generator) -> int | None:

@@ -97,6 +97,9 @@ class Topology:
 
     def __post_init__(self) -> None:
         n = len(self.roles)
+        gateways = [v for v, role in enumerate(self.roles) if role is NodeRole.GATEWAY]
+        if len(gateways) > 1:
+            raise TopologyError(f"more than one gateway: nodes {gateways[0]} and {gateways[1]}")
         for position, conn in enumerate(self.edges):
             if conn.link_id != position:
                 raise TopologyError(f"link {conn.link_id} is edge {position}: link ids must be edge positions")
@@ -143,33 +146,21 @@ class Topology:
                 return v
         raise TopologyError("topology has no gateway")
 
-    def _slots(self, node: int) -> tuple[int, int]:
-        """The node's first slot and one past its last."""
+    def _check_node(self, node: int) -> None:
         if not 0 <= node < self.node_count:
             raise TopologyError(f"unknown node {node}")
-        return int(self.adj_indptr[node]), int(self.adj_indptr[node + 1])
 
-    def neighbors(self, node: int) -> list[tuple[Connection, int]]:
-        """Adjacent (link, neighbor) pairs, ordered by neighbor id ascending."""
-        start, end = self._slots(node)
-        links, others = self.adj_links[start:end].tolist(), self.adj_neighbors[start:end].tolist()
-        return [(self.edges[link], w) for link, w in zip(links, others)]
+    def search(self, source: int) -> tuple[np.ndarray, list[int]]:
+        """Breadth-first search from source: hop counts (-1 where unreachable)
+        and each node's predecessor (-1 at the source and where unreachable).
 
-    def degree(self, node: int) -> int:
-        start, end = self._slots(node)
-        return end - start
-
-    def connection_between(self, u: int, v: int) -> Connection:
-        for conn, w in self.neighbors(u):
-            if w == v:
-                return conn
-        raise TopologyError(f"no link between {u} and {v}")
-
-    def hop_distances(self, source: int) -> np.ndarray:
-        """BFS hop counts from source; unreachable nodes get -1."""
-        self._slots(source)  # rejects an unknown node
+        Each level is scanned in node-id order, so a node's predecessor is its
+        lowest-id neighbor one hop closer to the source.
+        """
+        self._check_node(source)
         indptr, neighbors = self.adj_indptr.tolist(), self.adj_neighbors.tolist()
         dist = [-1] * self.node_count
+        predecessor = [-1] * self.node_count
         dist[source] = 0
         frontier = [source]
         while frontier:
@@ -178,30 +169,19 @@ class Topology:
                 for w in neighbors[indptr[v] : indptr[v + 1]]:
                     if dist[w] < 0:
                         dist[w] = dist[v] + 1
+                        predecessor[w] = v
                         nxt.append(w)
-            frontier = nxt
-        return np.array(dist, dtype=np.int64)
+            frontier = sorted(nxt)
+        return np.array(dist, dtype=np.int64), predecessor
+
+    def hop_distances(self, source: int) -> np.ndarray:
+        """BFS hop counts from source; unreachable nodes get -1."""
+        return self.search(source)[0]
 
     def shortest_path(self, source: int, target: int) -> list[int]:
         """Shortest path as a node sequence, ties broken toward lower node ids."""
-        self._slots(target)  # rejects an unknown node; hop_distances checks source
-        if source == target:
-            return [source]
-        dist = self.hop_distances(source).tolist()
-        if dist[target] < 0:
-            raise TopologyError(f"no path from {source} to {target}")
-        # Walk back from the target, always through the smallest-id
-        # predecessor: the first one in the target's id-ordered slots.
-        indptr, neighbors = self.adj_indptr.tolist(), self.adj_neighbors.tolist()
-        path = [target]
-        current = target
-        while current != source:
-            current = next(
-                w for w in neighbors[indptr[current] : indptr[current + 1]] if dist[w] == dist[current] - 1
-            )
-            path.append(current)
-        path.reverse()
-        return path
+        self._check_node(target)  # the search checks source
+        return walk_back(self.search(source)[1], source, target)
 
     def connected_components(self, skip_links: set[int] | None = None) -> list[list[int]]:
         skip = skip_links or set()
@@ -226,6 +206,16 @@ class Topology:
                     stack.append(w)
             components.append(sorted(comp))
         return components
+
+
+def walk_back(predecessor: list[int], source: int, target: int) -> list[int]:
+    """The path from source to target along a search's predecessors."""
+    if target != source and predecessor[target] < 0:
+        raise TopologyError(f"no path from {source} to {target}")
+    path = [target]
+    while path[-1] != source:
+        path.append(predecessor[path[-1]])
+    return path[::-1]
 
 
 def _fragment_sizes(total: int, fragments: int) -> list[int]:
@@ -349,7 +339,8 @@ def load_topology(path: str | Path) -> Topology:
     A line that does not parse, has the wrong number of fields, names a node
     outside the header's count, repeats a node, makes a self-loop, or repeats
     an edge or a bridge (in either orientation) is a `TopologyError` naming
-    the file and the line."""
+    the file and the line; any other invalid topology, such as a second
+    gateway, is one naming the file."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("nodes "):
@@ -395,9 +386,12 @@ def load_topology(path: str | Path) -> Topology:
     for pair in pairs["bridge"]:
         if pair not in by_pair:
             raise TopologyError(f"{path}: bridge {pair[0]} {pair[1]} is not an edge")
-    return Topology(
-        roles=[roles[v] for v in range(count)],
-        edges=edges,
-        bridge_edges=[by_pair[pair] for pair in pairs["bridge"]],
-        fragment_of=[fragments[v] for v in range(count)],
-    )
+    try:
+        return Topology(
+            roles=[roles[v] for v in range(count)],
+            edges=edges,
+            bridge_edges=[by_pair[pair] for pair in pairs["bridge"]],
+            fragment_of=[fragments[v] for v in range(count)],
+        )
+    except TopologyError as exc:
+        raise TopologyError(f"{path}: {exc}") from exc

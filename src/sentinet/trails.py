@@ -1,11 +1,14 @@
 """Traversal trails: per-(link, cell-type) recency marks guiding node checkers.
 
 Every node keeps one value per outgoing link per cell type. A checker leaving
-a node bumps the value on the link it takes; the node fades all values a
-little each step. High value means "someone like me went that way recently",
-so next-hop selection favours the stalest direction via an inverse-weight
-roulette. Nodes can be put in a fallback mode (uniform choice) where trails
-misbehave, e.g. at bridge endpoints in fragmented networks.
+a node bumps the value on the link it takes to base + scale * e^old (the
+exponent and the result capped); the node fades all values by a fixed step
+each step, floored at zero. High value means "someone like me went that way
+recently", so next-hop selection favours the stalest direction via an
+inverse-weight roulette: link i of a node gets the integer weight
+ceil(max(1, max_j(v_j) + 1 - v_i)). Nodes can be put in a fallback mode
+(uniform choice) where trails misbehave, e.g. at bridge endpoints in
+fragmented networks.
 
 Selection and the bump take arrays, so the engine moves many checkers per
 call, with the same draws and values as one checker at a time:
@@ -15,9 +18,9 @@ call, with the same draws and values as one checker at a time:
   are distinct, cutting the id order at each repeat.
 - A fallback node has unit weights. Its draw from [1, degree] consumes the
   stream as a uniform draw from [0, degree) would, and none at degree 1.
-- The bump takes e^old with `math.exp` per value, as `trail_increase` does:
-  `np.exp` differs from it in the last bit on some inputs below the exponent
-  cap, which would change the trail values and then the picks.
+- The bump takes e^old with `math.exp` per value: `np.exp` differs from it
+  in the last bit on some inputs below the exponent cap, which would change
+  the trail values and then the picks.
 - One call bumps each (slot, type) pair at most once; a fancy assignment
   would drop the second bump of a repeated pair.
 """
@@ -48,33 +51,6 @@ class TrailParams:
                 raise ValueError(f"{name} must be finite and positive")
 
 
-def trail_increase(old: float, params: TrailParams) -> float:
-    """New mark after a traversal: base + scale * e^old, capped."""
-    if old < 0:
-        raise ValueError("trail values are non-negative")
-    arg = min(old, params.exponent_cap)
-    return min(params.increase_base + params.increase_scale * math.exp(arg), params.value_cap)
-
-
-def trail_decay(old: float, params: TrailParams, decay_step: float | None = None) -> float:
-    """Linear fade per step, floored at zero."""
-    if old < 0:
-        raise ValueError("trail values are non-negative")
-    step = params.decay_step if decay_step is None else decay_step
-    return max(0.0, old - step)
-
-
-def roulette_weights(values: np.ndarray) -> np.ndarray:
-    """Integer roulette weights: stalest direction gets the biggest slice.
-
-    weight_i = ceil(max(1, max_j(v_j) + 1 - v_i)), so every link keeps a
-    positive share and ordering by trail value is inverted exactly.
-    """
-    top = float(values.max()) if len(values) else 0.0
-    raw = np.maximum(1.0, top + 1.0 - values)
-    return np.ceil(raw).astype(np.int64)
-
-
 class TrailState:
     """All trail storage for one topology, laid out per directed link slot.
 
@@ -94,9 +70,8 @@ class TrailState:
         self._decay_steps = np.full(slots, params.decay_step, dtype=np.float64)
         self.bridge_fallback = np.zeros(topology.node_count, dtype=bool)
 
-    def set_bridge_fallback(self, nodes: list[int], enabled: bool = True) -> None:
-        for node in nodes:
-            self.bridge_fallback[node] = enabled
+    def set_bridge_fallback(self, nodes: list[int]) -> None:
+        self.bridge_fallback[nodes] = True
 
     def set_node_decay_step(self, node: int, decay_step: float) -> None:
         """Per-node override: a steeper fade is the other bridge remedy."""
@@ -109,8 +84,9 @@ class TrailState:
         """Bump each (slot, type) entry: the link taken, at the departure node.
 
         Takes one pair or arrays of pairs; a pair may appear once per call.
-        Each new value is `trail_increase` of the old one: e^old is taken
-        with `math.exp`, the rest of the law is exact in array arithmetic.
+        Each new value is min(base + scale * e^min(old, exponent_cap),
+        value_cap): e^old is taken with `math.exp`, the rest of the law is
+        exact in array arithmetic.
         """
         slots, cell_types = np.atleast_1d(slots), np.atleast_1d(cell_types)
         if ((cell_types < 1) | (cell_types > self.cell_types)).any():
@@ -128,23 +104,22 @@ class TrailState:
         )
 
     def decay_all(self) -> None:
-        """One step of linear fade on every entry of every node."""
+        """One step of linear fade on every entry: max(0, old - step), with
+        the node's own step where one is set."""
         np.subtract(self.values, self._decay_steps[:, None], out=self.values)
         np.maximum(self.values, 0.0, out=self.values)
 
-    def select_next_hop(self, nodes, cell_types, rng: np.random.Generator):
+    def select_next_hop(self, nodes: np.ndarray, cell_types: np.ndarray, rng: np.random.Generator):
         """Roulette pick among each node's links for its cell type; returns slots.
 
-        Weights are `roulette_weights` of the node's values, or all 1 at a
-        fallback node. One draw per node from [1, total weight], in input
-        order, is mapped onto the cumulative weight intervals in neighbor
-        order, so lower trail values get proportionally more mass. A scalar
-        node gives an int slot, an array of nodes an array of slots; the
-        picks equal one call per node only if no two nodes share a
-        (node, type) key that a bump in between would change.
+        Link i of a node weighs ceil(max(1, max_j(v_j) + 1 - v_i)) over the
+        node's values v for the type, or 1 at a fallback node. One draw per
+        node from [1, total weight], in input order, is mapped onto the
+        cumulative weight intervals in neighbor order, so lower trail values
+        get proportionally more mass. The picks equal one call per node only
+        if no two nodes share a (node, type) key that a bump in between
+        would change.
         """
-        scalar = np.ndim(nodes) == 0
-        nodes, cell_types = np.atleast_1d(nodes), np.atleast_1d(cell_types)
         degrees = self.topology.degrees[nodes]
         if not degrees.all():
             raise ValueError(f"node {nodes[degrees == 0][0]} has no neighbors")
@@ -161,11 +136,4 @@ class TrailState:
         cumulative = weights.cumsum()
         totals = np.add.reduceat(weights, firsts)
         picks = rng.integers(1, totals + 1)
-        chosen = slots[cumulative.searchsorted(cumulative[ends - 1] - totals + picks)]
-        return int(chosen[0]) if scalar else chosen
-
-
-def selection_probabilities(values: np.ndarray) -> np.ndarray:
-    """Analytic pick probabilities implied by the roulette weights."""
-    weights = roulette_weights(np.asarray(values, dtype=np.float64))
-    return weights / weights.sum()
+        return slots[cumulative.searchsorted(cumulative[ends - 1] - totals + picks)]

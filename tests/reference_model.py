@@ -7,8 +7,8 @@ breadth-first search, and traffic comes from the model's own generator, which
 walks each gateway path back from its destination over those hop counts. Each
 rule is one small scalar function; `ReferenceModel` steps them one object at
 a time in the engine's phase order, on the engine's three RNG substreams in
-its draw order. It shares with the package only the trail increase law, the
-config and report dataclasses and the seed-to-substream rule.
+its draw order. It shares no law, adjacency or search with the package:
+only the config and report dataclasses and the seed-to-substream rule.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sentinet import Connection, MetricsReport, NodeRole, NotifyParams, trail_increase
+from sentinet import Connection, MetricsReport, NodeRole, NotifyParams
 from sentinet.engine import _substream
 
 PACKET_CHECKER, NODE_CHECKER = "packet_checker", "node_checker"
@@ -270,10 +270,23 @@ def check_node(cell, node, active_infections) -> list[Infection]:
     return [found] if found is not None else []
 
 
+def trail_increase(old: float, params) -> float:
+    """A link's trail value after a traversal: base + scale * e^old, with the
+    exponent capped and then the result."""
+    exponent = min(old, params.exponent_cap)
+    return min(params.increase_base + params.increase_scale * math.exp(exponent), params.value_cap)
+
+
+def roulette_weights(values) -> list[int]:
+    """Integer roulette weights over one node's trail values: the stalest
+    link gets the biggest share and every link at least 1."""
+    top = max(values)
+    return [math.ceil(max(1.0, top + 1.0 - v)) for v in values]
+
+
 def roulette_pick(values, rng) -> int:
     """Index picked by the inverse-weight roulette over one node's trail values."""
-    top = max(values)
-    weights = [math.ceil(max(1.0, top + 1.0 - v)) for v in values]
+    weights = roulette_weights(values)
     pick = int(rng.integers(1, sum(weights) + 1))
     for index, weight in enumerate(weights):
         pick -= weight

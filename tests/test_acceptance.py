@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_model import roulette_weights
 
 from sentinet import (
     Connection,
@@ -30,12 +31,9 @@ from sentinet import (
     TrailParams,
     TrailState,
     flood_trace,
-    trail_decay,
-    trail_increase,
 )
 from sentinet.cli import main
 from sentinet.scenario import load_scenario
-from sentinet.trails import selection_probabilities
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
@@ -275,28 +273,41 @@ def test_criterion_4_flood_wavefront_oracle():
 
 def test_criterion_5_trail_laws():
     params = TrailParams()
+
+    def star(leaves: int) -> TrailState:
+        """Trails on a star: node 0's slot i leads to node i + 1."""
+        edges = [Connection(i, 0, i + 1) for i in range(leaves)]
+        topology = Topology(roles=[NodeRole.ROUTER] + [NodeRole.WORKSTATION] * leaves, edges=edges)
+        return TrailState(topology, params, cell_types=1)
+
     getcontext().prec = 50
     rng = np.random.default_rng(7)
+    olds = rng.uniform(0.0, 13.5, size=2000)
+    bumped = star(len(olds))
+    bumped.values[: len(olds), 1] = olds
+    bumped.record_traversal(np.arange(len(olds)), np.ones(len(olds), dtype=np.int64))
     worst = 0.0
-    for old in rng.uniform(0.0, 13.5, size=2000):
-        got = trail_increase(float(old), params)
+    for old, got in zip(olds.tolist(), bumped.values[: len(olds), 1].tolist()):
         want = float(
             Decimal(params.increase_base)
-            + Decimal(params.increase_scale) * Decimal(float(old)).exp()
+            + Decimal(params.increase_scale) * Decimal(old).exp()
         )
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    grid = np.linspace(0.0, 50.0, 1001)
+    faded = star(len(grid))
+    faded.values[: len(grid), 1] = grid
+    faded.decay_all()
     decay_exact = all(
-        trail_decay(v, params) == max(0.0, v - params.decay_step)
-        for v in np.linspace(0.0, 50.0, 1001)
+        got == max(0.0, v - params.decay_step)
+        for v, got in zip(grid.tolist(), faded.values[: len(grid), 1].tolist())
     )
 
     values = [1.0, 5.0, 10.0, 100.0]
-    edges = [Connection(i, 0, i + 1) for i in range(4)]
-    topology = Topology(roles=[NodeRole.ROUTER] + [NodeRole.WORKSTATION] * 4, edges=edges)
-    state = TrailState(topology, params, cell_types=1)
-    for idx, value in enumerate(values):
-        state.values[idx, 1] = value  # node 0's slot idx leads to node idx + 1
-    expected = selection_probabilities(np.array(values))
+    state = star(len(values))
+    topology = state.topology
+    state.values[: len(values), 1] = values
+    weights = np.array(roulette_weights(values))
+    expected = weights / weights.sum()
     draw_rng = np.random.default_rng(99)
     trials = 1_000_000
     # One array call: the same draws, in order, as one call per pick.

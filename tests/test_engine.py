@@ -16,6 +16,7 @@ from reference_model import (
     Cell,
     NotificationPacket,
     ReferenceModel,
+    adjacency,
     best,
     decide_move,
     emit_deficiency,
@@ -209,6 +210,32 @@ class TestDeterminism:
     @over_random_configs
     def test_csv_and_json_bytes_identical(self, config):
         assert output_bytes(Engine(config).run()) == output_bytes(Engine(config).run())
+
+
+class TestReport:
+    def test_report_taken_mid_run_keeps_its_values(self):
+        engine = Engine(small_config(duration=40))
+        for _ in range(15):
+            engine.step()
+        early = engine.report()
+        kept = copy.deepcopy(early)
+        engine.run()
+        for field in fields(MetricsReport):
+            assert np.array_equal(getattr(early, field.name), getattr(kept, field.name)), field.name
+        assert early.summary() == kept.summary()
+
+    def test_a_run_with_traffic_searches_once(self, monkeypatch):
+        sources, search = [], Topology.search
+
+        def counted(topo, source):
+            sources.append(source)
+            return search(topo, source)
+
+        monkeypatch.setattr(Topology, "search", counted)
+        engine = Engine(small_config(strategy="centralized", traffic=TrafficConfig(packets_per_step=4)))
+        engine.run()
+        assert sources == [engine.topology.gateway]
+        assert len(engine.traffic_source._gateway_paths) > 1 and engine.control_bandwidth > 0
 
 
 class TestSingleNode:
@@ -516,7 +543,7 @@ def run_phases_before_movement(engine: Engine) -> None:
     engine._phase_node_checks()
     engine._phase_security()
     engine._phase_relay()
-    engine._phase_trail_decay()
+    engine._phase_trail_fade()
 
 
 def finish_step(engine: Engine) -> None:
@@ -529,7 +556,7 @@ class TestVectorizedMovementMatchesPerCellDecision:
     def test_engine_movement_equals_decide_move(self, strategy):
         config = small_config(strategy=strategy, duration=30, seed=11)
         engine = Engine(config)
-        topo, informed = engine.topology, engine.notification_on
+        informed, neighbors = engine.notification_on, adjacency(engine.topology)
         for _ in range(12):
             run_phases_before_movement(engine)
             before, lacking = engine.loc[: engine.n_pc].copy(), engine.lacking.copy()
@@ -543,11 +570,11 @@ class TestVectorizedMovementMatchesPerCellDecision:
                 cell = Cell(cid, int(engine.cell_type[cid]), PACKET_CHECKER, here)
                 strongest = None
                 if informed and notif_value[here] > 0:
-                    arrival = topo.connection_between(here, int(notif_from[here]))
+                    arrival = next(conn for conn, w in neighbors[here] if w == notif_from[here])
                     strongest = NotificationPacket(-1, float(notif_value[here]), arrival)
                 draws = iter((u_move[cid], u_dest[cid])).__next__
                 pinned = float(lacking[here]) if informed else 0.0
-                chosen = decide_move(cell, config.movement, pinned, topo.neighbors(here), strongest, None, draws)
+                chosen = decide_move(cell, config.movement, pinned, neighbors[here], strongest, None, draws)
                 expected = here if chosen is None else chosen.other(here)
                 assert int(engine.loc[cid]) == expected, f"cell {cid} diverged"
             finish_step(engine)
@@ -578,7 +605,7 @@ class TestEngineRelayMatchesProtocolFunctions:
                     assert engine._notif_origin[node] == strongest.origin
                     assert engine._notif_link[node] == strongest.arrival.link_id
                     assert engine.notif_from[node] == strongest.arrival.other(node)
-            engine._phase_trail_decay()
+            engine._phase_trail_fade()
             engine._phase_movement()
             finish_step(engine)
 

@@ -7,7 +7,6 @@ PUBLIC_API = [
     "NodeRole", "NotifyParams", "SimulationConfig", "Topology", "TopologyConfig",
     "TopologyError", "TrafficConfig", "TrafficSource", "TrailParams", "TrailState",
     "flood_trace", "generate_topology", "load_topology", "plan_rebalance", "save_topology",
-    "trail_decay", "trail_increase",
 ]
 
 

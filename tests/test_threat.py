@@ -63,13 +63,13 @@ class TestGeneration:
         source = TrafficSource(TrafficConfig(packets_per_step=40), TOPO, 5)
         packets, _ = source.generate(np.random.default_rng(3))
         gateway = TOPO.gateway
-        dist = TOPO.hop_distances(gateway)
+        dist, neighbors = TOPO.hop_distances(gateway), adjacency(TOPO)
         for p in packets:
             assert p.source == gateway
             assert p.path[0] == gateway and p.path[-1] == p.destination
             assert len(p.path) == dist[p.destination] + 1
             for a, b in zip(p.path, p.path[1:]):
-                assert b in [w for _, w in TOPO.neighbors(a)]
+                assert b in [w for _, w in neighbors[a]]
 
     def test_cached_gateway_paths_equal_shortest_paths(self):
         topo = generate_topology(TopologyConfig(node_count=40, backbone_redundancy=1.5, seed=3))

@@ -37,6 +37,12 @@ def _components_by_union_find(n_nodes, edge_pairs):
     return len({find(x) for x in range(n_nodes)})
 
 
+def csr_neighbors(topo, node):
+    """(link id, neighbor) pairs in node's CSR slots, in slot order."""
+    start, end = topo.adj_indptr[node], topo.adj_indptr[node + 1]
+    return list(zip(topo.adj_links[start:end].tolist(), topo.adj_neighbors[start:end].tolist()))
+
+
 def test_minimal_two_node_topology():
     topo = generate_topology(TopologyConfig(node_count=2, seed=1))
     assert topo.node_count == 2
@@ -53,7 +59,7 @@ def test_company_scale_topology_is_connected_with_one_gateway():
     # Adjacency length equals the degree recounted from the raw edge list.
     for node in range(0, 500, 7):
         recount = sum(1 for u, v in pairs if node in (u, v))
-        assert len(topo.neighbors(node)) == recount
+        assert len(csr_neighbors(topo, node)) == recount
 
 
 def test_generation_is_deterministic():
@@ -91,8 +97,8 @@ def test_generation_pure_connected_and_symmetric(node_count, fragments, redundan
     pairs = [e.endpoints() for e in a.edges]
     assert _components_by_union_find(node_count, pairs) == 1
     for conn in a.edges:
-        assert conn.v in [w for _, w in a.neighbors(conn.u)]
-        assert conn.u in [w for _, w in a.neighbors(conn.v)]
+        assert conn.v in [w for _, w in csr_neighbors(a, conn.u)]
+        assert conn.u in [w for _, w in csr_neighbors(a, conn.v)]
     assert sum(1 for r in a.roles if r is NodeRole.GATEWAY) == 1
 
 
@@ -125,33 +131,31 @@ def test_fragment_counts_and_bridge_multiplicity(fragments, bridges):
 def test_adjacency_is_symmetric_and_matches_edges():
     topo = generate_topology(TopologyConfig(node_count=90, backbone_redundancy=0.5, seed=7))
     for conn in topo.edges:
-        assert any(c.link_id == conn.link_id for c, w in topo.neighbors(conn.u) if w == conn.v)
-        assert any(c.link_id == conn.link_id for c, w in topo.neighbors(conn.v) if w == conn.u)
+        assert (conn.link_id, conn.v) in csr_neighbors(topo, conn.u)
+        assert (conn.link_id, conn.u) in csr_neighbors(topo, conn.v)
     # Degree from the adjacency equals degree recounted from the edge list.
     for node in range(topo.node_count):
         recount = sum(1 for e in topo.edges if node in e.endpoints())
-        assert len(topo.neighbors(node)) == recount
+        assert len(csr_neighbors(topo, node)) == recount
 
 
 def test_neighbors_are_ordered_by_node_id():
     topo = generate_topology(TopologyConfig(node_count=100, seed=13))
     for node in range(topo.node_count):
-        ids = [w for _, w in topo.neighbors(node)]
+        ids = [w for _, w in csr_neighbors(topo, node)]
         assert ids == sorted(ids)
 
 
 def test_neighbors_on_path_graph():
     edges = [Connection(0, 0, 1), Connection(1, 1, 2)]
     topo = Topology(roles=[NodeRole.ROUTER] * 3, edges=edges)
-    middle = topo.neighbors(1)
-    assert [(c.link_id, w) for c, w in middle] == [(0, 0), (1, 2)]
-    assert len(topo.neighbors(0)) == 1
+    assert csr_neighbors(topo, 1) == [(0, 0), (1, 2)]
+    assert len(csr_neighbors(topo, 0)) == 1
 
 
 def test_unknown_node_rejected():
     topo = generate_topology(TopologyConfig(node_count=12, seed=1))
     for query, args in [
-        (topo.neighbors, (12,)),
         (topo.hop_distances, (-1,)),
         (topo.hop_distances, (12,)),
         (topo.shortest_path, (0, -2)),
@@ -184,8 +188,9 @@ def test_self_loops_and_duplicate_edges_rejected():
             edges=[Connection(0, 0, 1), Connection(1, 0, 1)],
         )
     # Endpoints outside 0..n-1, link ids that are not the edge's position, a
-    # bridge that is not an edge or is listed twice, and a fragment list of
-    # the wrong length.
+    # bridge that is not an edge or is listed twice, a fragment list of the
+    # wrong length, and a second gateway.
+    two_gateways = [NodeRole.GATEWAY, NodeRole.ROUTER, NodeRole.GATEWAY, NodeRole.WORKSTATION]
     for bad in (
         {"edges": [Connection(0, 0, 2)]},
         {"edges": [Connection(0, -1, 1)]},
@@ -193,9 +198,10 @@ def test_self_loops_and_duplicate_edges_rejected():
         {"edges": [Connection(0, 0, 1)], "bridge_edges": [Connection(1, 0, 1)]},
         {"edges": [Connection(0, 0, 1)], "bridge_edges": [Connection(0, 0, 1)] * 2},
         {"edges": [Connection(0, 0, 1)], "fragment_of": [0]},
+        {"roles": two_gateways, "edges": [Connection(0, 0, 1), Connection(1, 1, 2), Connection(2, 1, 3)]},
     ):
         with pytest.raises(TopologyError):
-            Topology(roles=[NodeRole.GATEWAY, NodeRole.ROUTER], **bad)
+            Topology(**{"roles": [NodeRole.GATEWAY, NodeRole.ROUTER], **bad})
 
 
 def oracle_path(neighbors, source, target):
@@ -286,6 +292,7 @@ def test_load_rejects_malformed_files(tmp_path):
         ("nodes 2 7\nnode 0 gateway\nnode 1 router\n", "nodes 2 7"),
         ("nodes 2\nnode 0 gateway 0 extra\nnode 1 router\n", "node 0 gateway 0 extra"),
         (two_nodes + "edge 0 1 9\n", "edge 0 1 9"),
+        (THREE_NODES.replace("node 2 router", "node 2 gateway"), "gateway: nodes 0 and 2"),
     ]:
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(TopologyError, match=f"bad.topo.*{line}"):

@@ -1,8 +1,10 @@
 """Trail update laws and the inverse-weight roulette selection.
 
-The update functions are checked against a 50-digit Decimal evaluation of the
-same closed forms, and empirical selection frequencies are checked against
-the analytic weights at three standard deviations over a million draws.
+The laws are read from `TrailState`'s own methods: its bump is checked
+against a 50-digit Decimal evaluation of the closed form, its fade against
+the exact linear step, and its empirical selection frequencies against the
+reference model's analytic weights at three standard deviations over a
+million draws.
 The engine's batched node-checker moves are checked against one decision per
 checker on arbitrary states, and the numpy behaviour they rely on is pinned.
 """
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_model import roulette_pick
+from reference_model import roulette_pick, roulette_weights, trail_increase
 from test_notify import random_connected_graph
 
 from sentinet import (
@@ -29,10 +31,7 @@ from sentinet import (
     TopologyConfig,
     TrailParams,
     TrailState,
-    trail_decay,
-    trail_increase,
 )
-from sentinet.trails import roulette_weights, selection_probabilities
 
 PARAMS = TrailParams()  # increase_base 10, increase_scale 1/1000, decay_step 2
 SHIPPED = TrailParams(increase_base=400.0, increase_scale=0.001, decay_step=0.5, value_cap=450.0)
@@ -58,26 +57,46 @@ def star_state(values, cell_type=1, params=None) -> TrailState:
     return state
 
 
+def bump(old: float, params: TrailParams = PARAMS) -> float:
+    """The increase law as the engine applies it: one traversal of a link holding `old`."""
+    state = star_state([old], params=params)
+    state.record_traversal(0, 1)
+    return float(state.values[0, 1])
+
+
+def fade(old: float, params: TrailParams = PARAMS) -> float:
+    """The decay law as the engine applies it: one step of fade on a link holding `old`."""
+    state = star_state([old], params=params)
+    state.decay_all()
+    return float(state.values[0, 1])
+
+
+def selection_probabilities(values) -> np.ndarray:
+    """Analytic pick probabilities implied by the reference roulette weights."""
+    weights = np.array(roulette_weights(values))
+    return weights / weights.sum()
+
+
 class TestIncrease:
     def test_fresh_entry(self):
-        assert trail_increase(0.0, PARAMS) == pytest.approx(10.001, abs=1e-12)
+        assert bump(0.0, PARAMS) == pytest.approx(10.001, abs=1e-12)
 
     def test_second_visit_matches_decimal_oracle(self):
-        first = trail_increase(0.0, PARAMS)
-        second = trail_increase(first, PARAMS)
+        first = bump(0.0, PARAMS)
+        second = bump(first, PARAMS)
         assert second == pytest.approx(decimal_increase(first, PARAMS), rel=1e-6)
         assert 32.0 < second < 32.1
 
     def test_matches_closed_form_below_clamp_to_1e9(self):
         rng = np.random.default_rng(1)
         for old in rng.uniform(0.0, 29.0, size=500):
-            got = trail_increase(float(old), PARAMS)
+            got = bump(float(old), PARAMS)
             if got < PARAMS.value_cap:
                 want = decimal_increase(float(old), PARAMS)
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_exponent_clamp_engages(self):
-        capped = trail_increase(PARAMS.exponent_cap + 100.0, PARAMS)
+        capped = bump(PARAMS.exponent_cap + 100.0, PARAMS)
         expected = min(
             PARAMS.increase_base + PARAMS.increase_scale * math.exp(PARAMS.exponent_cap),
             PARAMS.value_cap,
@@ -86,19 +105,19 @@ class TestIncrease:
 
     def test_value_cap_engages(self):
         params = TrailParams(value_cap=20.0)
-        assert trail_increase(29.0, params) == 20.0
+        assert bump(29.0, params) == 20.0
 
     @given(a=st.floats(0, 29), b=st.floats(0, 29))
     @settings(max_examples=100)
     def test_monotone_nondecreasing(self, a, b):
         lo, hi = sorted((a, b))
-        assert trail_increase(lo, PARAMS) <= trail_increase(hi, PARAMS)
+        assert bump(lo, PARAMS) <= bump(hi, PARAMS)
 
     def test_convex_increasing_on_a_grid(self):
         # Below the value cap, which engages near ln((cap - base) / scale).
         top = math.log((PARAMS.value_cap - PARAMS.increase_base) / PARAMS.increase_scale)
         grid = np.linspace(0.0, top - 0.1, 200)
-        values = [trail_increase(float(x), PARAMS) for x in grid]
+        values = [bump(float(x), PARAMS) for x in grid]
         diffs = np.diff(values)
         assert (diffs > 0).all()
         assert (np.diff(diffs) > -1e-12).all()
@@ -106,30 +125,30 @@ class TestIncrease:
 
 class TestDecay:
     def test_plain_step(self):
-        assert trail_decay(10.0, PARAMS) == 8.0
+        assert fade(10.0, PARAMS) == 8.0
 
     def test_clamps_at_zero(self):
-        assert trail_decay(1.0, PARAMS) == 0.0
+        assert fade(1.0, PARAMS) == 0.0
 
     def test_zero_is_a_fixed_point(self):
-        assert trail_decay(0.0, PARAMS) == 0.0
+        assert fade(0.0, PARAMS) == 0.0
 
     def test_affine_with_unit_slope_above_clamp(self):
         for v in np.linspace(2.0, 50.0, 25):
-            assert trail_decay(float(v) + 1.0, PARAMS) - trail_decay(float(v), PARAMS) == pytest.approx(1.0)
+            assert fade(float(v) + 1.0, PARAMS) - fade(float(v), PARAMS) == pytest.approx(1.0)
 
     def test_fresh_mark_fades_in_the_expected_number_of_steps(self):
-        value = trail_increase(0.0, PARAMS)
+        value = bump(0.0, PARAMS)
         steps = 0
         while value > 0:
-            value = trail_decay(value, PARAMS)
+            value = fade(value, PARAMS)
             steps += 1
-        assert steps == math.ceil(trail_increase(0.0, PARAMS) / PARAMS.decay_step)
+        assert steps == math.ceil(bump(0.0, PARAMS) / PARAMS.decay_step)
 
     @given(v=st.floats(0, 1e6))
     @settings(max_examples=200)
     def test_never_negative_never_changes_zero(self, v):
-        out = trail_decay(v, PARAMS)
+        out = fade(v, PARAMS)
         assert out >= 0.0
         if v == 0.0:
             assert out == 0.0
@@ -197,10 +216,10 @@ class TestSelection:
         # Trail values (1, 5, 10, 100) produce integer weights (100, 96, 91, 1)
         # over a total of 288: the stalest link dominates and the hottest link
         # keeps exactly one slot.
-        weights = roulette_weights(np.array([1.0, 5.0, 10.0, 100.0]))
+        weights = roulette_weights([1.0, 5.0, 10.0, 100.0])
         assert list(weights) == [100, 96, 91, 1]
-        assert weights.sum() == 288
-        probabilities = selection_probabilities(np.array([1.0, 5.0, 10.0, 100.0]))
+        assert sum(weights) == 288
+        probabilities = selection_probabilities([1.0, 5.0, 10.0, 100.0])
         assert probabilities[0] > probabilities[1] > probabilities[2] > probabilities[3]
         assert probabilities[3] == pytest.approx(1 / 288)
 
@@ -213,13 +232,13 @@ class TestSelection:
             assert abs(counts[leaf] / trials - 1 / 3) < 0.01
 
     def test_selection_monotone_in_trail_value(self):
-        probabilities = selection_probabilities(np.array([0.0, 3.0, 3.0, 9.0]))
+        probabilities = selection_probabilities([0.0, 3.0, 3.0, 9.0])
         assert probabilities[0] >= probabilities[1] == probabilities[2] >= probabilities[3]
 
     def test_empirical_frequencies_match_analytic_weights_within_3_sigma(self):
         values = [1.0, 5.0, 10.0, 100.0]
         state = star_state(values)
-        expected = selection_probabilities(np.array(values))
+        expected = selection_probabilities(values)
         rng = np.random.default_rng(42)
         trials = 1_000_000
         counts = np.bincount(state.topology.adj_neighbors[draw_from_node_0(state, trials, rng)], minlength=5)
@@ -243,26 +262,27 @@ class TestSelection:
         )
         state = TrailState(topo, TrailParams(), cell_types=1)
         with pytest.raises(ValueError):
-            state.select_next_hop(2, 1, np.random.default_rng(0))
+            state.select_next_hop(np.array([2]), np.array([1]), np.random.default_rng(0))
 
     def test_selection_interval_enumeration(self):
         # Walk the entire integer roulette range through a stub rng and check
         # that each link gets exactly its weight's worth of outcomes.
         values = [1.0, 5.0, 10.0, 100.0]
         state = star_state(values)
-        weights = roulette_weights(np.array(values))
+        weights = roulette_weights(values)
 
         class StubRng:
             def __init__(self, pick):
                 self.pick = pick
 
             def integers(self, low, high):
-                assert low == 1 and high == int(weights.sum()) + 1
-                return self.pick
+                assert low == 1 and high.tolist() == [sum(weights) + 1]
+                return np.array([self.pick])
 
         tally = np.zeros(5, dtype=int)
-        for pick in range(1, int(weights.sum()) + 1):
-            tally[state.topology.adj_neighbors[state.select_next_hop(0, 1, StubRng(pick))]] += 1
+        one = np.array([0]), np.array([1])  # a type-1 pick at node 0
+        for pick in range(1, sum(weights) + 1):
+            tally[state.topology.adj_neighbors[state.select_next_hop(*one, StubRng(pick))]] += 1
         assert list(tally[1:]) == list(weights)
 
 
