@@ -468,6 +468,9 @@ class TestRebalanceMatchesReference:
 
 
 class TestEngineMatchesReferenceModel:
+    # Traffic against an empty type slice, and guards of one type sharing a node.
+    @example(config=small_config(packet_checkers_per_type=0, duration=20))
+    @example(config=small_config(topology=TopologyConfig(node_count=3, seed=1), packet_checkers_per_type=5, duration=20))
     @given(config=valid_configs())
     @settings(max_examples=150, deadline=None)
     def test_every_strategy_matches_step_by_step(self, config):
@@ -553,8 +556,11 @@ def finish_step(engine: Engine) -> None:
 
 class TestVectorizedMovementMatchesPerCellDecision:
     @pytest.mark.parametrize("strategy", ["uninformed", "notification"])
-    def test_engine_movement_equals_decide_move(self, strategy):
-        config = small_config(strategy=strategy, duration=30, seed=11)
+    # With no resting rate and a cap of 1, only checkers that heard a
+    # notification move, and those hearing 2 hit the cap.
+    @pytest.mark.parametrize("movement", [MovementParams(0.2, 0.1, 0.8), MovementParams(0.0, 1.0, 1.0)])
+    def test_engine_movement_equals_decide_move(self, strategy, movement):
+        config = small_config(strategy=strategy, duration=30, seed=11, movement=movement)
         engine = Engine(config)
         informed, neighbors = engine.notification_on, adjacency(engine.topology)
         for _ in range(12):
