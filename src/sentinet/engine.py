@@ -259,12 +259,10 @@ class Engine:
         n_pc = k * config.packet_checkers_per_type
         n_nc = k * config.node_checkers_per_type
         self.n_pc = n_pc
-        self.cell_type = np.empty(n_pc + n_nc, dtype=np.int64)
-        for t in range(k):
-            a = t * config.packet_checkers_per_type
-            self.cell_type[a : a + config.packet_checkers_per_type] = t + 1
-            b = n_pc + t * config.node_checkers_per_type
-            self.cell_type[b : b + config.node_checkers_per_type] = t + 1
+        types = np.arange(1, k + 1)
+        self.cell_type = np.concatenate(
+            [np.repeat(types, config.packet_checkers_per_type), np.repeat(types, config.node_checkers_per_type)]
+        )
 
         start_nodes = config.start_nodes
         if start_nodes is None and config.start_fragment is not None:
@@ -347,9 +345,9 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _phase_traffic(self) -> None:
-        t, n_pc = self.t, self.n_pc
-        guarded = np.zeros((self.topology.node_count, self.config.cell_types + 1), dtype=bool)
-        guarded[self.loc[:n_pc], self.cell_type[:n_pc]] = True
+        t, config = self.t, self.config
+        # Row p - 1 holds where the packet checkers of type p stand.
+        guards = self.loc[: self.n_pc].reshape(config.cell_types, config.packet_checkers_per_type)
         for packet in self.in_flight:
             packet.position += 1
         new_packets, landed = self.traffic_source.generate(self._rng_traffic)
@@ -359,7 +357,7 @@ class Engine:
         survivors: list[TrafficPacket] = []
         for packet in self.in_flight:
             node, payload = packet.current_node, packet.payload
-            if payload is not None and guarded[node, payload]:
+            if payload is not None and node in guards[payload - 1]:
                 fate = "detected"
                 self._detections[t] += 1
             elif packet.at_destination:
@@ -428,38 +426,26 @@ class Engine:
             self._centralized_assign()
 
     def _move_packet_checkers(self) -> None:
-        n_pc = self.n_pc
-        if n_pc == 0:
-            return
-        topo = self.topology
-        params = self.config.movement
+        """Each packet checker with a link moves at its rate: toward the
+        notification it heard, else to a uniform neighbour."""
+        topo, params, n_pc = self.topology, self.config.movement, self.n_pc
         locs = self.loc[:n_pc]
         u_move = self._rng_movement.random(n_pc)
         u_dest = self._rng_movement.random(n_pc)
-        degrees = topo.degrees[locs]
-
+        prob = params.base_probability
         if self.notification_on:
-            pinned = self.lacking[locs] > 0
-            values = self.notif_value[locs]
-            prob = np.minimum(
-                params.base_probability + params.gain * values, params.max_probability
-            )
-        else:
-            pinned = np.zeros(n_pc, dtype=bool)
-            values = np.zeros(n_pc)
-            prob = np.full(n_pc, params.base_probability)
-
-        movers = (~pinned) & (u_move < prob) & (degrees > 0)
-        if not movers.any():
-            return
-        dest = locs.copy()
-        toward = movers & (values > 0)
-        dest[toward] = self.notif_from[locs[toward]]
-        wander = movers & ~(values > 0)
-        if wander.any():
-            offsets = (u_dest[wander] * degrees[wander]).astype(np.int64)
-            dest[wander] = topo.adj_neighbors[topo.adj_indptr[locs[wander]] + offsets]
-        self.loc[:n_pc] = dest
+            heard = self.notif_value[locs]
+            prob = np.minimum(prob + params.gain * heard, params.max_probability)
+            # No draw falls below 0, so checkers at a lacking node stay.
+            prob[self.lacking[locs] > 0] = 0.0
+        movers = np.flatnonzero((u_move < prob) & (topo.degrees[locs] > 0))
+        at = locs[movers]
+        offsets = (u_dest[movers] * topo.degrees[at]).astype(np.int64)
+        dest = topo.adj_neighbors[topo.adj_indptr[at] + offsets]
+        if self.notification_on:
+            led = heard[movers] > 0
+            dest[led] = self.notif_from[at[led]]
+        locs[movers] = dest
 
     def _move_node_checkers(self) -> None:
         """Every node checker with a link decides in id order, drawing from the
