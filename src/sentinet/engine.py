@@ -167,11 +167,8 @@ class SimulationConfig:
                 raise ConfigError(f"{prefix}: {exc}") from exc
         if self.bridge_decay_step is not None and not 0 < self.bridge_decay_step < math.inf:
             raise ConfigError("bridge_decay_step: must be finite and positive")
-        if self.start_fragment is not None and not 0 <= self.start_fragment < self.topology.fragment_count:
-            raise ConfigError(
-                f"start_fragment: must lie in [0, {self.topology.fragment_count}), "
-                f"got {self.start_fragment}"
-            )
+        if self.start_nodes is not None and self.start_fragment is not None:
+            raise ConfigError("start_nodes and start_fragment: set at most one of them")
         if self.start_nodes is not None and not self.start_nodes:
             raise ConfigError("start_nodes: must name at least one node")
         if self.coverage_window is not None and self.coverage_window < 1:
@@ -265,12 +262,13 @@ class Engine:
         )
 
         start_nodes = config.start_nodes
-        if start_nodes is None and config.start_fragment is not None:
-            start_nodes = [
-                v for v in range(n) if topology.fragment_of[v] == config.start_fragment
-            ]
+        if config.start_fragment is not None:
+            start_nodes = [v for v in range(n) if topology.fragment_of[v] == config.start_fragment]
             if not start_nodes:
-                raise ConfigError(f"start_fragment: fragment {config.start_fragment} is empty")
+                raise ConfigError(
+                    f"start_fragment: no node lies in fragment {config.start_fragment} "
+                    f"(the topology's fragments are 0..{max(topology.fragment_of)})"
+                )
         if start_nodes is None:
             start_nodes = list(range(n))
         for v in start_nodes:
@@ -528,7 +526,7 @@ class Engine:
     def report(self) -> MetricsReport:
         sent = self.notification_packets_total
         return MetricsReport(
-            duration=self.config.duration,
+            duration=self.t,
             node_count=self.topology.node_count,
             cell_types=self.config.cell_types,
             strategy=self.config.strategy,

@@ -130,6 +130,10 @@ def load_dict(sections: dict[str, dict[str, str]]) -> Scenario:
     for section, (attr, cls) in _PARAMS.items():
         setattr(config, attr, cls(**params[section]))
     config.validate()
+    # A scenario always runs on its generated topology, so its fragments are known here.
+    fragments = config.topology.fragment_count
+    if config.start_fragment is not None and not 0 <= config.start_fragment < fragments:
+        raise ConfigError(f"start_fragment: must lie in [0, {fragments}), got {config.start_fragment}")
 
     scenario.sweep_seeds = scenario.sweep_seeds or [config.seed]
     scenario.sweep_strategies = scenario.sweep_strategies or [config.strategy]

@@ -149,6 +149,7 @@ class TestConfigValidation:
             (dict(bridge_decay_step=float("inf")), "bridge_decay_step"),
             (dict(start_fragment=1), "start_fragment"),
             (dict(start_nodes=[]), "start_nodes"),
+            (dict(start_nodes=[0], start_fragment=0), "start_nodes and start_fragment"),
         ],
     )
     def test_non_finite_and_out_of_range_rejected(self, overrides, key):
@@ -223,6 +224,14 @@ class TestReport:
         for field in fields(MetricsReport):
             assert np.array_equal(getattr(early, field.name), getattr(kept, field.name)), field.name
         assert early.summary() == kept.summary()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_report_taken_mid_run_writes_what_a_shorter_run_writes(self, strategy):
+        engine = Engine(small_config(strategy=strategy, duration=40))
+        for _ in range(15):
+            engine.step()
+        shorter = Engine(small_config(strategy=strategy, duration=15)).run()
+        assert output_bytes(engine.report()) == output_bytes(shorter)
 
     def test_a_run_with_traffic_searches_once(self, monkeypatch):
         sources, search = [], Topology.search
@@ -645,6 +654,11 @@ class TestConfigWiring:
         engine = Engine(config)
         fragments = engine.topology.fragment_of
         assert all(fragments[int(v)] == 0 for v in engine.loc)
+
+    def test_start_fragment_is_one_of_the_given_topology(self):
+        topology = generate_topology(TopologyConfig(node_count=30, fragment_count=2, seed=7))
+        engine = Engine(small_config(start_fragment=1), topology=topology)
+        assert all(topology.fragment_of[int(v)] == 1 for v in engine.loc)
 
     def test_bridge_fallback_marks_exactly_the_bridge_endpoints(self):
         config = small_config(
