@@ -427,6 +427,8 @@ class Engine:
         """Each packet checker with a link moves at its rate: toward the
         notification it heard, else to a uniform neighbour."""
         topo, params, n_pc = self.topology, self.config.movement, self.n_pc
+        if n_pc == 0:
+            return
         locs = self.loc[:n_pc]
         u_move = self._rng_movement.random(n_pc)
         u_dest = self._rng_movement.random(n_pc)
