@@ -182,35 +182,68 @@ class SimulationConfig:
         return max(1, round(4 * node_count / self.node_checkers_per_type))
 
 
-def plan_rebalance(counts: np.ndarray, required: np.ndarray) -> list[tuple[int, int, int]]:
+def _levels(balance: np.ndarray) -> dict[int, list[int]]:
+    """The nodes of positive balance, one list per balance level, each in
+    descending id order so that the lowest id is at the end."""
+    ids = np.flatnonzero(balance > 0)[::-1]
+    ids = ids[np.argsort(balance[ids], kind="stable")]
+    level = balance[ids]
+    bounds = [0, *(np.flatnonzero(level[1:] != level[:-1]) + 1).tolist(), len(ids)]
+    ids, level = ids.tolist(), level.tolist()
+    return {level[a]: ids[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a}
+
+
+def _settle(levels: dict[int, list[int]], tops: list[int], level: int, nodes: list[int]) -> None:
+    """Put `nodes` (descending ids) on `level`, if positive, merged in id order."""
+    if level > 0:
+        held = levels.get(level)
+        if held is None:
+            levels[level] = nodes
+            heapq.heappush(tops, -level)
+        else:
+            levels[level] = sorted(held + nodes, reverse=True)
+
+
+def plan_rebalance(counts: np.ndarray, required: np.ndarray) -> np.ndarray:
     """Greedy transfer plan: biggest surplus feeds biggest deficit until one
     side runs dry. Ties resolve to the lower node id. Counts are cell units.
+    Returns one int64 row (source, target, amount) per move, in plan order.
 
-    A move changes only its two nodes' balances and never flips a sign, so two
-    heaps keyed on (balance, node id) pick the pairs a full argmax and argmin
-    over all nodes would.
+    The greedy runs a balance level at a time. With S the top surplus and D
+    the top deficit, the i-th lowest-id giver at S feeds the i-th lowest-id
+    taker at D, min(S, D) cells each, for as many pairs as the smaller of
+    the two levels holds: each such move takes one node of its pair off its
+    level and leaves the next pair on top, so these are the moves that one
+    pick of the largest pair at a time makes, in its order. A node left with
+    a smaller balance joins that lower level in id order.
     """
     balance = counts.astype(np.int64) - np.ceil(required).astype(np.int64)
-    givers = np.flatnonzero(balance > 0)
-    takers = np.flatnonzero(balance < 0)
-    surplus = list(zip((-balance[givers]).tolist(), givers.tolist()))
-    deficit = list(zip(balance[takers].tolist(), takers.tolist()))
-    heapq.heapify(surplus)
-    heapq.heapify(deficit)
-    moves: list[tuple[int, int, int]] = []
-    while surplus and deficit:
-        (give, src), (need, dst) = surplus[0], deficit[0]
-        amount = min(-give, -need)
-        moves.append((src, dst, amount))
-        if give + amount:
-            heapq.heapreplace(surplus, (give + amount, src))
-        else:
-            heapq.heappop(surplus)
-        if need + amount:
-            heapq.heapreplace(deficit, (need + amount, dst))
-        else:
-            heapq.heappop(deficit)
-    return moves
+    givers, takers = _levels(balance), _levels(-balance)
+    give_tops, take_tops = [-s for s in givers], [-d for d in takers]
+    heapq.heapify(give_tops)
+    heapq.heapify(take_tops)
+    sources: list[int] = []
+    targets: list[int] = []
+    amounts: list[int] = []
+    while give_tops and take_tops:
+        give, take = -give_tops[0], -take_tops[0]
+        level_givers, level_takers = givers[give], takers[take]
+        pairs = min(len(level_givers), len(level_takers))
+        amount = min(give, take)
+        fed, filled = level_givers[-pairs:], level_takers[-pairs:]
+        del level_givers[-pairs:], level_takers[-pairs:]
+        sources += reversed(fed)
+        targets += reversed(filled)
+        amounts += [amount] * pairs
+        if not level_givers:
+            del givers[give]
+            heapq.heappop(give_tops)
+        if not level_takers:
+            del takers[take]
+            heapq.heappop(take_tops)
+        _settle(givers, give_tops, give - amount, fed)
+        _settle(takers, take_tops, take - amount, filled)
+    return np.array([sources, targets, amounts], dtype=np.int64).T
 
 
 def topology_for(config: SimulationConfig) -> Topology:
@@ -352,11 +385,20 @@ class Engine:
         self._introduced[t] = sum(packet.payload is not None for packet in new_packets)
         self.in_flight.extend(new_packets)
 
+        # One array test per step over the infected packets in flight; with
+        # no packet checkers nothing is caught.
+        infected = [i for i, packet in enumerate(self.in_flight) if packet.payload is not None]
+        caught: set[int] = set()
+        if infected and self.n_pc:
+            node = np.array([self.in_flight[i].current_node for i in infected])
+            payload = np.array([self.in_flight[i].payload for i in infected])
+            hit = (guards[payload - 1] == node[:, None]).any(axis=1)
+            caught = {infected[j] for j in np.flatnonzero(hit).tolist()}
+
         survivors: list[TrafficPacket] = []
-        for packet in self.in_flight:
+        for i, packet in enumerate(self.in_flight):
             node, payload = packet.current_node, packet.payload
-            # `in` on an array row costs microseconds; with no packet checkers skip it.
-            if payload is not None and self.n_pc and node in guards[payload - 1]:
+            if i in caught:
                 fate = "detected"
                 self._detections[t] += 1
             elif packet.at_destination:
@@ -481,24 +523,29 @@ class Engine:
             return
         locs = self.loc[:n_pc]
         required = self.min_security_node / self.config.security_value
-        moves = plan_rebalance(np.bincount(locs, minlength=n), required)
-        if not moves:
+        counts = np.bincount(locs, minlength=n)
+        moves = plan_rebalance(counts, required)
+        if not len(moves):
             return
-        src, dst, amount = np.array(moves, dtype=np.int64).T
         # Sources only give, so each hands out its first cells in id order,
-        # in plan order: sorted stably by source, a cell's rank among its
-        # source's outgoing cells is its slot in that source's pool.
+        # in plan order: with the moves sorted stably by source, a move's
+        # cells follow those of its source's earlier moves in the pool.
+        src, dst, amount = moves[np.argsort(moves[:, 0], kind="stable")].T
         is_source = np.zeros(n, dtype=bool)
         is_source[src] = True
         pool = np.flatnonzero(is_source[locs])
-        pool = pool[np.argsort(locs[pool], kind="stable")]
-        origin, target = np.repeat(src, amount), np.repeat(dst, amount)
-        by_source = np.argsort(origin, kind="stable")
-        origin, target = origin[by_source], target[by_source]
-        rank = np.arange(len(origin)) - np.searchsorted(origin, origin)
-        chosen = pool[np.searchsorted(locs[pool], origin) + rank]
-        self.loc[chosen] = target
-        self.control_bandwidth += 2.0 * int(self._dist_from_gateway[origin].sum())
+        # The pool in (node, id) order: the keys are unique, so one plain sort.
+        keys = np.sort(locs[pool] * n_pc + pool)
+        on_source = np.where(is_source, counts, 0)
+        pool_start = np.cumsum(on_source) - on_source
+        cell_end = np.cumsum(amount)
+        cell_start = cell_end - amount
+        # A source's moved cells are consecutive; its k-th takes its k-th pool slot.
+        group_start = cell_start[np.searchsorted(src, src)]
+        slot = np.repeat(pool_start[src] - group_start, amount) + np.arange(cell_end[-1])
+        chosen = keys[slot] % n_pc
+        self.loc[chosen] = np.repeat(dst, amount)
+        self.control_bandwidth += 2.0 * int(self._dist_from_gateway[src] @ amount)
 
     # ------------------------------------------------------------------
 

@@ -365,11 +365,11 @@ class TestPinning:
 
 class TestCentralized:
     def test_balanced_state_needs_no_moves(self):
-        assert plan_rebalance(np.array([20, 20]), np.array([20.0, 20.0])) == []
+        assert plan_rebalance(np.array([20, 20]), np.array([20.0, 20.0])).tolist() == []
 
     def test_simple_surplus_to_deficit(self):
         moves = plan_rebalance(np.array([30, 10]), np.array([20.0, 20.0]))
-        assert moves == [(0, 1, 10)]
+        assert moves.tolist() == [[0, 1, 10]]
 
     def test_greedy_reaches_the_unavoidable_deficit_floor(self):
         rng = np.random.default_rng(12)
@@ -449,8 +449,20 @@ class TestRebalanceMatchesReference:
         counts = np.array([c for c, _ in pairs], dtype=np.int64)
         required = np.array([r for _, r in pairs], dtype=np.float64)
         moves = plan_rebalance(counts, required)
-        assert moves == reference_plan_rebalance(counts, required)
-        assert all(type(x) is int for move in moves for x in move)
+        assert [tuple(r) for r in moves.tolist()] == reference_plan_rebalance(counts, required)
+        assert moves.dtype == np.int64 and moves.shape == (len(moves), 3)
+
+    @pytest.mark.parametrize("n", [500, 4000])
+    @pytest.mark.parametrize("spread", [3, 30])
+    def test_tie_heavy_plan_equals_argmax_argmin_greedy(self, n, spread):
+        """Many nodes on few balance levels: whole levels pair off and the
+        remainders merge back into lower levels."""
+        rng = np.random.default_rng(n + spread)
+        for _ in range(3):
+            required = rng.integers(spread, 3 * spread + 1, size=n).astype(np.float64)
+            counts = required.astype(np.int64) + rng.integers(-spread, spread + 1, size=n)
+            moves = plan_rebalance(counts, required)
+            assert moves.tolist() == [list(move) for move in reference_plan_rebalance(counts, required)]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -480,6 +492,8 @@ class TestEngineMatchesReferenceModel:
     # Traffic against an empty type slice, and guards of one type sharing a node.
     @example(config=small_config(packet_checkers_per_type=0, duration=20))
     @example(config=small_config(topology=TopologyConfig(node_count=3, seed=1), packet_checkers_per_type=5, duration=20))
+    # Several crowded sources, each feeding several deficits in one step.
+    @example(config=small_config(strategy="centralized", start_nodes=[0, 4, 11], duration=15))
     @given(config=valid_configs())
     @settings(max_examples=150, deadline=None)
     def test_every_strategy_matches_step_by_step(self, config):
