@@ -34,8 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a single run from a scenario file")
     run_p.add_argument("scenario")
     run_p.add_argument("--out-dir", default=None)
-    run_p.add_argument("--verbose-trails", action="store_true")
-    run_p.add_argument("--verbose-traffic", action="store_true")
+    run_p.add_argument("--verbose", action="store_true", help="also write traffic.csv and trails.csv")
 
     sweep_p = sub.add_parser("sweep", help="run the scenario's seeds x strategies grid")
     sweep_p.add_argument("scenario")
@@ -72,25 +71,20 @@ def _out_dir(scenario: Scenario, override: str | None) -> Path:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     out = _out_dir(scenario, args.out_dir)
-    engine = Engine(
-        scenario.config,
-        record_traffic=args.verbose_traffic,
-        record_trails=args.verbose_trails,
-    )
+    engine = Engine(scenario.config, verbose=args.verbose)
     report = engine.run()
     try:
         report.write_json(out / "summary.json")
         report.write_csv(out / "timeseries.csv")
-        if args.verbose_traffic:
-            with open(out / "traffic.csv", "w", newline="", encoding="utf-8") as handle:
+        logs = [
+            ("traffic.csv", "t,packet_id,source,destination,intrusion,fate,node", engine.traffic_log),
+            ("trails.csv", "t,node,link,cell_type,value", engine.trail_log),
+        ] if args.verbose else []
+        for name, header, rows in logs:
+            with open(out / name, "w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle)
-                writer.writerow(["t", "packet_id", "source", "destination", "intrusion", "fate", "node"])
-                writer.writerows(engine.traffic_log)
-        if args.verbose_trails:
-            with open(out / "trails.csv", "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["t", "node", "link", "cell_type", "value"])
-                writer.writerows(engine.trail_log)
+                writer.writerow(header.split(","))
+                writer.writerows(rows)
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return 2

@@ -207,7 +207,9 @@ def _settle(levels: dict[int, list[int]], tops: list[int], level: int, nodes: li
 def plan_rebalance(counts: np.ndarray, required: np.ndarray) -> np.ndarray:
     """Greedy transfer plan: biggest surplus feeds biggest deficit until one
     side runs dry. Ties resolve to the lower node id. Counts are cell units.
-    Returns one int64 row (source, target, amount) per move, in plan order.
+    Returns one row (source, target, amount) per move, in plan order, as an
+    (m, 3) object array of Python ints: a sum over its rows stays a Python
+    int, which `json` can write (the benchmark's traced runs do).
 
     The greedy runs a balance level at a time. With S the top surplus and D
     the top deficit, the i-th lowest-id giver at S feeds the i-th lowest-id
@@ -243,7 +245,7 @@ def plan_rebalance(counts: np.ndarray, required: np.ndarray) -> np.ndarray:
             heapq.heappop(take_tops)
         _settle(givers, give_tops, give - amount, fed)
         _settle(takers, take_tops, take - amount, filled)
-    return np.array([sources, targets, amounts], dtype=np.int64).T
+    return np.array([sources, targets, amounts], dtype=object).T
 
 
 def topology_for(config: SimulationConfig) -> Topology:
@@ -261,8 +263,7 @@ class Engine:
         self,
         config: SimulationConfig,
         topology: Topology | None = None,
-        record_traffic: bool = False,
-        record_trails: bool = False,
+        verbose: bool = False,
     ):
         config.validate()
         self.config = config
@@ -366,8 +367,8 @@ class Engine:
         self.control_bandwidth = 0.0
         self.max_link_load = 0
 
-        self.record_traffic = record_traffic
-        self.record_trails = record_trails
+        # Verbose runs log each packet's fate and each trail bump.
+        self.verbose = verbose
         self.traffic_log: list[tuple[int, int, int, int, int, str, int]] = []
         self.trail_log: list[tuple[int, int, int, int, float]] = []
 
@@ -401,7 +402,7 @@ class Engine:
             else:
                 survivors.append(packet)
                 continue
-            if self.record_traffic:
+            if self.verbose:
                 self.traffic_log.append(
                     (t, packet.packet_id, packet.source, packet.destination, payload or 0, fate, node)
                 )
@@ -443,13 +444,6 @@ class Engine:
     def _phase_trail_fade(self) -> None:
         if self.trail_state is not None:
             self.trail_state.decay_all()
-            if self.record_trails:
-                topo, values = self.topology, self.trail_state.values
-                slots, ctypes = np.nonzero(values)
-                owner = np.repeat(np.arange(topo.node_count), topo.degrees)[slots]
-                links, value = topo.adj_links[slots], values[slots, ctypes]
-                rows = zip(owner.tolist(), links.tolist(), ctypes.tolist(), value.tolist())
-                self.trail_log.extend((self.t, *row) for row in rows)
 
     def _phase_movement(self) -> None:
         self._move_packet_checkers()
@@ -501,6 +495,11 @@ class Engine:
             for a, b in _distinct_runs(nodes * (self.config.cell_types + 1) + types):
                 slots[a:b] = state.select_next_hop(nodes[a:b], types[a:b], rng)
                 state.record_traversal(slots[a:b], types[a:b])
+                if self.verbose:
+                    # Read the values now: a later batch may bump the same pair again.
+                    links, values = topo.adj_links[slots[a:b]], state.values[slots[a:b], types[a:b]]
+                    rows = zip(nodes[a:b].tolist(), links.tolist(), types[a:b].tolist(), values.tolist())
+                    self.trail_log.extend((self.t, *row) for row in rows)
         locs[movers] = topo.adj_neighbors[slots]
 
     def _centralized_assign(self) -> None:
@@ -518,6 +517,7 @@ class Engine:
         moves = plan_rebalance(counts, required)
         if not len(moves):
             return
+        moves = moves.astype(np.int64)
         # Sources only give, so each hands out its first cells in id order,
         # in plan order: with the moves sorted stably by source, a move's
         # cells follow those of its source's earlier moves in the pool.

@@ -84,6 +84,14 @@ class TopologyConfig:
         # Every fragment needs at least a router and one attached node.
         if self.node_count // self.fragment_count < 2:
             raise TopologyError("node_count too small for the requested fragment_count")
+        sizes = _fragment_sizes(self.node_count, self.fragment_count)
+        routers = [_role_counts(size, self, frag == 0)[NodeRole.ROUTER] for frag, size in enumerate(sizes)]
+        for frag, (left, right) in enumerate(zip(routers[:-1], routers[1:])):
+            if self.bridges_per_fragment_pair > left * right:
+                raise TopologyError(
+                    f"bridges_per_fragment_pair {self.bridges_per_fragment_pair} exceeds the {left} x {right} "
+                    f"router pairs between fragments {frag} and {frag + 1}"
+                )
 
 
 @dataclass
@@ -233,7 +241,8 @@ def _role_counts(size: int, config: TopologyConfig, with_gateway: bool) -> dict[
     workstations = size - routers - servers - gateway
     if workstations < 0:
         raise TopologyError(
-            f"node_count {size} too small to satisfy the role mix"
+            f"node_count too small for the role mix: a fragment of {size} nodes "
+            f"needs {routers + servers + gateway} routers, servers and gateway"
         )
     return {
         NodeRole.ROUTER: routers,

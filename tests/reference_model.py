@@ -341,6 +341,7 @@ class ReferenceModel:
 
         self.bridge_ends = {v for conn in topology.bridge_edges for v in conn.endpoints()}
         self.trails: dict[tuple[int, int, int], float] = {}  # (node, link, type) -> value
+        self.trail_log: list[tuple[int, int, int, int, float]] = []  # (t, node, link, type, value) per bump
         self.inboxes = [[] for _ in range(n)]
         self.infections: dict[tuple[int, int], Infection] = {}
         self.in_flight = []
@@ -436,6 +437,7 @@ class ReferenceModel:
             if self.trails_on:
                 key = (here, conn.link_id, ctype)
                 self.trails[key] = trail_increase(self.trails.get(key, 0.0), config.trail_params)
+                self.trail_log.append((t, *key, self.trails[key]))
             self._move(cell, conn.other(here))
         if self.centralized:
             pools = [[c for c in cells if c.kind == PACKET_CHECKER] for cells in self.cells_at]

@@ -150,6 +150,19 @@ class TestConfigValidation:
             (dict(start_fragment=1), "start_fragment"),
             (dict(start_nodes=[]), "start_nodes"),
             (dict(start_nodes=[0], start_fragment=0), "start_nodes and start_fragment"),
+            # One router per fragment leaves one possible bridge.
+            (
+                dict(topology=TopologyConfig(node_count=20, fragment_count=2, bridges_per_fragment_pair=2, seed=7)),
+                "topology: bridges_per_fragment_pair",
+            ),
+            (
+                dict(
+                    topology=TopologyConfig(
+                        node_count=4, workstation_fraction=0.0, server_fraction=0.85, router_fraction=0.15, seed=7
+                    )
+                ),
+                "topology: node_count too small for the role mix",
+            ),
         ],
     )
     def test_non_finite_and_out_of_range_rejected(self, overrides, key):
@@ -450,7 +463,7 @@ class TestRebalanceMatchesReference:
         required = np.array([r for _, r in pairs], dtype=np.float64)
         moves = plan_rebalance(counts, required)
         assert [tuple(r) for r in moves.tolist()] == reference_plan_rebalance(counts, required)
-        assert moves.dtype == np.int64 and moves.shape == (len(moves), 3)
+        assert moves.shape == (len(moves), 3) and all(type(x) is int for x in moves.flat)
 
     @pytest.mark.parametrize("n", [500, 4000])
     @pytest.mark.parametrize("spread", [3, 30])
@@ -499,6 +512,75 @@ class TestEngineMatchesReferenceModel:
     def test_every_strategy_matches_step_by_step(self, config):
         for strategy in STRATEGIES:
             assert_matches_reference(replace(config, strategy=strategy))
+
+
+def replay_trails(engine: Engine) -> np.ndarray:
+    """Trail values rebuilt from the bump log alone: zeros, then each step's
+    fade and that step's bumps, with the fade's own float operations."""
+    topo, config = engine.topology, engine.config
+    steps = np.full(len(topo.adj_neighbors), config.trail_params.decay_step)
+    if config.bridge_decay_step is not None:
+        for v in {v for conn in topo.bridge_edges for v in conn.endpoints()}:
+            steps[topo.adj_indptr[v] : topo.adj_indptr[v + 1]] = config.bridge_decay_step
+    owners = np.repeat(np.arange(topo.node_count), topo.degrees)
+    slot_of = {(int(v), int(link)): slot for slot, (v, link) in enumerate(zip(owners, topo.adj_links))}
+    bumps = {}
+    for t, node, link, ctype, value in engine.trail_log:
+        bumps.setdefault(t, []).append((slot_of[node, link], ctype, value))
+    values = np.zeros((len(steps), config.cell_types + 1))
+    for t in range(engine.t):
+        values = np.maximum(values - steps[:, None], 0.0)
+        for slot, ctype, value in bumps.get(t, []):
+            values[slot, ctype] = value
+    return values
+
+
+# All node checkers start on one node, so a step bumps a pair in several batches.
+_crowded_trails = dict(strategy="trails", node_checkers_per_type=4, start_nodes=[0], duration=20)
+
+
+class TestTrailLog:
+    @example(config=small_config(**_crowded_trails))
+    @example(
+        config=small_config(
+            topology=TopologyConfig(node_count=40, fragment_count=2, seed=4), bridge_decay_step=0.7, duration=30
+        )
+    )
+    @given(config=valid_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_log_equals_the_reference_models_bumps(self, config):
+        for strategy in ("trails", "protocols"):
+            config = replace(config, strategy=strategy)
+            engine = Engine(config, verbose=True)
+            model = ReferenceModel(config, engine.topology)
+            engine.run()
+            for _ in range(config.duration):
+                model.step()
+            assert engine.trail_log == model.trail_log
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(strategy="trails", duration=80),
+            _crowded_trails,
+            dict(topology=TopologyConfig(node_count=40, fragment_count=2, seed=4), bridge_decay_step=0.7),
+            dict(
+                topology=TopologyConfig(node_count=40, fragment_count=2, seed=4),
+                bridge_fallback=True,
+                trail_params=TrailParams(increase_base=40.0, decay_step=0.5, value_cap=45.0),
+            ),
+        ],
+    )
+    def test_fade_and_bumps_replay_the_trail_values(self, overrides):
+        engine = Engine(small_config(**overrides), verbose=True)
+        engine.run()
+        assert engine.trail_state.values.any()
+        assert np.array_equal(replay_trails(engine), engine.trail_state.values)
+
+    def test_quiet_run_logs_nothing(self):
+        engine = Engine(small_config())
+        engine.run()
+        assert engine.trail_log == [] and engine.traffic_log == []
 
 
 def plain_checked_fraction(rows, node_count, cell_types, window, span, nodes=None):

@@ -107,6 +107,22 @@ class TestCli:
         assert main(["validate", str(path)]) == 1
         assert "start_fragment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "topology,key",
+        [
+            ("node_count = 20\nfragment_count = 2\nbridges_per_fragment_pair = 2\n", "bridges_per_fragment_pair"),
+            (
+                "node_count = 4\nworkstation_fraction = 0\nserver_fraction = 0.85\nrouter_fraction = 0.15\n",
+                "role mix",
+            ),
+        ],
+    )
+    def test_validate_topology_generation_cannot_build_exits_1(self, tmp_path, capsys, topology, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[topology]\n{topology}", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.ini")]) == 2
 
@@ -127,29 +143,20 @@ class TestCli:
         for name in ("summary.json", "timeseries.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_verbose_flags_write_logs(self, tiny_scenario, tmp_path):
+    def test_verbose_writes_both_logs(self, tiny_scenario, tmp_path):
         out = tmp_path / "v"
-        code = main(
-            [
-                "run",
-                str(tiny_scenario),
-                "--out-dir",
-                str(out),
-                "--verbose-traffic",
-                "--verbose-trails",
-            ]
-        )
-        assert code == 0
+        assert main(["run", str(tiny_scenario), "--out-dir", str(out), "--verbose"]) == 0
         assert (out / "traffic.csv").read_text(encoding="utf-8").startswith("t,packet_id")
-        assert (out / "trails.csv").read_text(encoding="utf-8").startswith("t,node,link")
+        assert (out / "trails.csv").read_text(encoding="utf-8").startswith("t,node,link,cell_type,value")
         # The log bytes are pinned: a change to the engine's trail layout or
-        # traffic bookkeeping must not change what the logs say.
+        # traffic bookkeeping must not change what the logs say. trails.csv
+        # holds one row per trail bump.
         digests = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in ("trails.csv", "traffic.csv")
         }
         assert digests == {
-            "trails.csv": "67069b2237385de67587cbb5c87b86d95fb460257485b52a4af2d76fb620b576",
+            "trails.csv": "7ad3cac5d54c11796afaae9d72aa848393ca61cc60cb865c5f36363b22b8c061",
             "traffic.csv": "e71a07799218f87af61f5628c380927279672d90a023f5c832ee9cb87338a380",
         }
 
