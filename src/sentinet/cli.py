@@ -10,6 +10,7 @@ import argparse
 import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 from .engine import ConfigError, Engine, topology_for
@@ -72,19 +73,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     out = _out_dir(scenario, args.out_dir)
     engine = Engine(scenario.config, verbose=args.verbose)
-    report = engine.run()
     try:
+        with ExitStack() as stack:
+            # Verbose logs go out step by step, so memory stays flat over a run.
+            logs = [
+                ("traffic.csv", "t,packet_id,source,destination,intrusion,fate,node", engine.traffic_log),
+                ("trails.csv", "t,node,link,cell_type,value", engine.trail_log),
+            ] if args.verbose else []
+            writers = []
+            for name, header, rows in logs:
+                writer = csv.writer(stack.enter_context(open(out / name, "w", newline="", encoding="utf-8")))
+                writer.writerow(header.split(","))
+                writers.append((writer, rows))
+            while engine.t < engine.config.duration:
+                engine.step()
+                for writer, rows in writers:
+                    writer.writerows(rows)
+                    rows.clear()
+        report = engine.report()
         report.write_json(out / "summary.json")
         report.write_csv(out / "timeseries.csv")
-        logs = [
-            ("traffic.csv", "t,packet_id,source,destination,intrusion,fate,node", engine.traffic_log),
-            ("trails.csv", "t,node,link,cell_type,value", engine.trail_log),
-        ] if args.verbose else []
-        for name, header, rows in logs:
-            with open(out / name, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(header.split(","))
-                writer.writerows(rows)
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return 2

@@ -460,18 +460,19 @@ class Engine:
         locs = self.loc[:n_pc]
         u_move = self._rng_movement.random(n_pc)
         u_dest = self._rng_movement.random(n_pc)
-        prob = params.base_probability
+        # Each node's move probability, gathered once per checker. No draw
+        # falls below 0, so checkers at a lacking or linkless node stay.
+        node_prob = np.full(topo.node_count, params.base_probability)
         if self.notification_on:
-            heard = self.notif_value[locs]
-            prob = np.minimum(prob + params.gain * heard, params.max_probability)
-            # No draw falls below 0, so checkers at a lacking node stay.
-            prob[self.lacking[locs] > 0] = 0.0
-        movers = np.flatnonzero((u_move < prob) & (topo.degrees[locs] > 0))
+            node_prob = np.minimum(node_prob + params.gain * self.notif_value, params.max_probability)
+            node_prob[self.lacking > 0] = 0.0
+        node_prob[topo.degrees == 0] = 0.0
+        movers = np.flatnonzero(u_move < node_prob[locs])
         at = locs[movers]
         offsets = (u_dest[movers] * topo.degrees[at]).astype(np.int64)
         dest = topo.adj_neighbors[topo.adj_indptr[at] + offsets]
         if self.notification_on:
-            led = heard[movers] > 0
+            led = self.notif_value[at] > 0
             dest[led] = self.notif_from[at[led]]
         locs[movers] = dest
 

@@ -8,11 +8,13 @@ load on any single link stays at one packet per direction per step. Nothing
 is stored between steps.
 
 `relay` runs one step for the whole graph as array operations on the CSR
-adjacency. Two masks pick the senders: emitters (a fresh deficiency) and
-forwarders (a heard packet still above the threshold after its decrement).
-One `np.repeat` over their degrees lists every send, and one lexsort picks
-each receiver's packet: the higher value, then the lower origin, then the
-lower link.
+adjacency, read receiver-major: CSR slot s of row r is receiver r hearing
+its neighbour over one link. Two masks pick the senders: emitters (a fresh
+deficiency) and forwarders (a heard packet still above the threshold after
+its decrement); a third marks the slots that carry a send. Each receiver's
+packet is then one segmented reduction over its row: the highest value
+(`np.maximum.reduceat`), then among the slots that tie on it the lowest
+(origin, link) key (`np.minimum.reduceat`).
 """
 
 from __future__ import annotations
@@ -64,36 +66,40 @@ def relay(
     emit = lacking > 0
     if not params.own_emission_wins:
         emit &= value <= lacking
-    forward = ~emit & (value > 0) & (value - 1.0 > params.forward_threshold)
-    senders = np.flatnonzero(emit | forward)
-    if not len(senders):
+    sends = emit | ((value > 0) & (value - 1.0 > params.forward_threshold))
+    if not sends.any():
+        return new_value, new_origin, new_link, new_from, 0, 0
+    # What each node sends, once per node: its own deficiency or the decayed relay.
+    out_value = np.where(emit, lacking, value - 1.0)
+    out_origin = np.where(emit, np.arange(len(value)), origin)
+
+    # Slot s of row r: receiver r hears sender adj_neighbors[s] over adj_links[s].
+    # A forwarder never sends back along its arrival link; an emitter uses all.
+    receiver, sender, via = topology.adj_nodes, topology.adj_neighbors, topology.adj_links
+    heard = sends[sender] & (emit[sender] | (via != link[sender]))
+    if not heard.any():
         return new_value, new_origin, new_link, new_from, 0, 0
 
-    # One entry per (sender, link): each sender's CSR slots, back to back.
-    degrees = topology.degrees[senders]
-    sender = np.repeat(senders, degrees)
-    shift = topology.adj_indptr[senders] - (np.cumsum(degrees) - degrees)
-    slots = np.arange(len(sender)) + np.repeat(shift, degrees)
-    via = topology.adj_links[slots]
-    # A forwarder never sends back along its arrival link; an emitter uses all.
-    keep = emit[sender] | (via != link[sender])
-    sender, via, receiver = sender[keep], via[keep], topology.adj_neighbors[slots[keep]]
-    emitted = emit[sender]
-    out_value = np.where(emitted, lacking[sender], value[sender] - 1.0)
-    out_origin = np.where(emitted, sender, origin[sender])
+    # Each receiver keeps its packet of higher value, then lower origin, then
+    # lower link. Values sent are positive, so 0 marks a silent slot. A
+    # receiver hears each link once, so the (origin, link) key is unique in a row.
+    rows = np.flatnonzero(topology.degrees)
+    starts = topology.adj_indptr[rows]
+    slot_value = np.where(heard, out_value[sender], 0.0)
+    top = np.zeros_like(value)
+    top[rows] = np.maximum.reduceat(slot_value, starts)
+    key = out_origin[sender] * len(topology.edges) + via
+    key = np.where(heard & (slot_value == top[receiver]), key, np.iinfo(np.int64).max)
+    first = np.zeros(len(value), dtype=np.int64)
+    first[rows] = np.minimum.reduceat(key, starts)
+    win = np.flatnonzero(heard & (key == first[receiver]))
+    at, by = receiver[win], sender[win]
+    new_value[at], new_origin[at], new_link[at], new_from[at] = slot_value[win], out_origin[by], via[win], by
 
-    # Each receiver keeps its first packet by (higher value, lower origin,
-    # lower link). A receiver hears a link once, so the order is strict.
-    order = np.lexsort((via, out_origin, -out_value, receiver))
-    win = order[np.diff(receiver[order], prepend=-1) != 0]
-    at = receiver[win]
-    new_value[at], new_origin[at], new_link[at], new_from[at] = (
-        out_value[win], out_origin[win], via[win], sender[win]
-    )
-
-    per_connection += np.bincount(via, minlength=len(per_connection))
-    peak = np.bincount(2 * via + (sender < receiver)).max(initial=0)
-    return new_value, new_origin, new_link, new_from, len(via), int(peak)
+    heard_via = via[heard]
+    per_connection += np.bincount(heard_via, minlength=len(per_connection))
+    peak = np.bincount(2 * heard_via + (sender[heard] < receiver[heard])).max()
+    return new_value, new_origin, new_link, new_from, len(heard_via), int(peak)
 
 
 def flood_trace(

@@ -127,7 +127,8 @@ class Topology:
         if len(self.fragment_of) != n:
             raise TopologyError(f"fragment_of has {len(self.fragment_of)} entries for {n} nodes")
         # The adjacency, in CSR form: node v's directed links are the slots
-        # adj_indptr[v]:adj_indptr[v + 1], ordered by neighbor id.
+        # adj_indptr[v]:adj_indptr[v + 1], ordered by neighbor id; adj_nodes
+        # holds the row (v) of each slot.
         ends = np.array([conn.endpoints() for conn in self.edges], dtype=np.int64).reshape(-1, 2)
         nodes = np.concatenate([ends[:, 0], ends[:, 1]])
         others = np.concatenate([ends[:, 1], ends[:, 0]])
@@ -137,6 +138,7 @@ class Topology:
         if len(repeats):
             first = repeats[0]
             raise TopologyError(f"duplicate edge {(int(nodes[first]), int(others[first]))}")
+        self.adj_nodes = nodes
         self.adj_neighbors = others
         self.adj_links = np.tile(np.arange(len(self.edges), dtype=np.int64), 2)[order]
         self.degrees = np.bincount(nodes, minlength=n)

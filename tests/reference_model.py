@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sentinet import Connection, MetricsReport, NodeRole, NotifyParams
+from sentinet import Connection, MetricsReport, NodeRole, NotifyParams, Topology
 from sentinet.engine import _substream
 
 PACKET_CHECKER, NODE_CHECKER = "packet_checker", "node_checker"
@@ -212,6 +212,15 @@ def adjacency(topology):
         neighbors[conn.u].append((conn, conn.v))
         neighbors[conn.v].append((conn, conn.u))
     return [sorted(pairs, key=lambda pair: pair[1]) for pairs in neighbors]
+
+
+def with_isolated_node(topology, at):
+    """The same graph plus one node of degree 0 with id `at`: the nodes from
+    `at` on are renumbered one up."""
+    edges = [Connection(c.link_id, c.u + (c.u >= at), c.v + (c.v >= at)) for c in topology.edges]
+    roles = list(topology.roles)
+    roles.insert(at, NodeRole.WORKSTATION)
+    return Topology(roles=roles, edges=edges)
 
 
 def hop_counts(neighbors, source):

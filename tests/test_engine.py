@@ -22,6 +22,7 @@ from reference_model import (
     emit_deficiency,
     reference_plan_rebalance,
     relay_step,
+    with_isolated_node,
 )
 
 from sentinet import (
@@ -431,10 +432,10 @@ class TestCentralized:
             assert total_deficit == 0
 
 
-def assert_matches_reference(config: SimulationConfig) -> MetricsReport:
+def assert_matches_reference(config: SimulationConfig, topology: Topology | None = None) -> MetricsReport:
     """Step the engine and the reference model side by side: cell locations
     after every step, and every report field at the end."""
-    engine = Engine(config)
+    engine = Engine(config, topology)
     model = ReferenceModel(config, engine.topology)
     for _ in range(config.duration):
         engine.step()
@@ -512,6 +513,22 @@ class TestEngineMatchesReferenceModel:
     def test_every_strategy_matches_step_by_step(self, config):
         for strategy in STRATEGIES:
             assert_matches_reference(replace(config, strategy=strategy))
+
+    @pytest.mark.parametrize("hole_lacking", [False, True])
+    def test_informed_strategies_match_on_a_topology_with_a_hole(self, hole_lacking):
+        """Node 15 has no link; a third of the cells start on it, a third on
+        node 3, which always lacks, and a third on node 20."""
+        topology = with_isolated_node(generate_topology(TopologyConfig(node_count=30, seed=7)), 15)
+        config = small_config(
+            traffic=TrafficConfig(),  # no path from the gateway reaches the hole
+            start_nodes=[15, 3, 20],
+            min_security_by_node={3: 40.0, **({15: 40.0} if hole_lacking else {})},
+            duration=30,
+        )
+        for strategy in ("notification", "protocols"):
+            report = assert_matches_reference(replace(config, strategy=strategy), topology)
+            assert (report.entity_counts[:, 15] == 12).all()
+            assert report.notification_packets_total > 0
 
 
 def replay_trails(engine: Engine) -> np.ndarray:

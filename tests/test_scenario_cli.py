@@ -160,6 +160,12 @@ class TestCli:
             "traffic.csv": "e71a07799218f87af61f5628c380927279672d90a023f5c832ee9cb87338a380",
         }
 
+    def test_verbose_log_that_cannot_be_opened_exits_2(self, tiny_scenario, tmp_path, capsys):
+        out = tmp_path / "v"
+        (out / "trails.csv").mkdir(parents=True)
+        assert main(["run", str(tiny_scenario), "--out-dir", str(out), "--verbose"]) == 2
+        assert "cannot write results" in capsys.readouterr().err
+
     def test_sweep_rows_and_comparison(self, tiny_scenario, tmp_path):
         out = tmp_path / "sweep"
         assert main(["sweep", str(tiny_scenario), "--out-dir", str(out)]) == 0
