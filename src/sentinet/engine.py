@@ -45,19 +45,52 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _distinct_runs(keys: np.ndarray) -> list[tuple[int, int]]:
-    """Bounds cutting `keys` in order into runs of distinct keys: each run
-    ends just before the first key that already appeared in it."""
-    order = np.argsort(keys, kind="stable")
-    repeat = keys[order[1:]] == keys[order[:-1]]
-    later, earlier = order[1:][repeat], order[:-1][repeat]
-    by_position = np.argsort(later)
-    cuts = [0]
-    for position, previous in zip(later[by_position].tolist(), earlier[by_position].tolist()):
-        if previous >= cuts[-1]:
-            cuts.append(position)
-    cuts.append(len(keys))
-    return list(zip(cuts[:-1], cuts[1:]))
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _uint32_stream(rng: np.random.Generator, count: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The next `count` 32-bit values that `rng` would serve, read ahead.
+
+    PCG64 serves its buffered half-word first, if it holds one, then each
+    word's low half and then its high half. Returns the state before the
+    read, the words read and the values; `_leave_after` puts `rng` where
+    some of those draws would have left it.
+    """
+    saved = rng.bit_generator.state
+    buffered = saved["has_uint32"]
+    words = rng.bit_generator.random_raw((count - buffered + 1) // 2)
+    values = np.stack([words & _LOW_HALF, words >> np.uint64(32)], axis=1).ravel()
+    if buffered:
+        values = np.concatenate([np.array([saved["uinteger"]], dtype=np.uint64), values])
+    return saved, words, values
+
+
+def _leave_after(rng: np.random.Generator, saved: dict, words: np.ndarray, used: int) -> None:
+    """Set `rng` to the state that `used` 32-bit draws from `saved` leave:
+    the words they read, and the last word's high half still buffered if
+    they took its low half only."""
+    bits = rng.bit_generator
+    bits.state = saved
+    if used == 0:
+        return
+    from_words = used - saved["has_uint32"]
+    read = (from_words + 1) // 2
+    bits.advance(read)  # which empties the buffer
+    state = bits.state
+    state["has_uint32"] = from_words % 2
+    state["uinteger"] = int(words[read - 1] >> np.uint64(32)) if read else saved["uinteger"]
+    bits.state = state
+
+
+def _lemire_picks(values: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw from [1, total] on one accepted 32-bit value
+    each: 1 + (value * total >> 32). Also flags the draws that take more
+    than `values` gives them: a rejected value (the low half of the product
+    below 2^32 mod total), or a total above 2^32, drawn from a 64-bit word."""
+    wide = totals.astype(np.uint64)
+    product = values * wide
+    exceptional = (totals > 1 << 32) | ((product & _LOW_HALF) < np.uint64(1 << 32) % wide)
+    return (product >> np.uint64(32)).astype(np.int64) + 1, exceptional
 
 
 def _resting_moves(rng: np.random.Generator, count: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -490,18 +523,89 @@ class Engine:
             movers, nodes = movers[moving], nodes[moving]
             slots = topo.adj_indptr[nodes] + (draws * topo.degrees[nodes]).astype(np.int64)
         else:
-            # A bump only changes what a later checker with the same
-            # (node, type) sees, so each run of distinct keys is one batch.
-            slots = np.empty(len(movers), dtype=np.int64)
-            for a, b in _distinct_runs(nodes * (self.config.cell_types + 1) + types):
-                slots[a:b] = state.select_next_hop(nodes[a:b], types[a:b], rng)
-                state.record_traversal(slots[a:b], types[a:b])
-                if self.verbose:
-                    # Read the values now: a later batch may bump the same pair again.
-                    links, values = topo.adj_links[slots[a:b]], state.values[slots[a:b], types[a:b]]
-                    rows = zip(nodes[a:b].tolist(), links.tolist(), types[a:b].tolist(), values.tolist())
-                    self.trail_log.extend((self.t, *row) for row in rows)
+            slots = self._trail_moves(nodes, types)
         locs[movers] = topo.adj_neighbors[slots]
+
+    def _trail_moves(self, nodes: np.ndarray, types: np.ndarray) -> np.ndarray:
+        """The slot each mover takes and bumps, as one roulette pick and one
+        bump per mover in id order would leave them, selection stream too.
+
+        A bump only changes what a later mover with the same (node, type)
+        sees, so movers go in rounds by rank, the number of earlier movers
+        with their key. Rounds run out of id order, so their draws are read
+        ahead from the stream, one 32-bit value per drawing mover in id
+        order. A draw that needs more than that is taken from the generator
+        itself, after the bumps of the movers from it on are rolled back.
+        """
+        state, rng, n = self.trail_state, self._rng_selection, len(nodes)
+        keys = nodes * (self.config.cell_types + 1) + types
+        order = np.argsort(keys, kind="stable")
+        index = np.arange(n)
+        first = np.ones(n, dtype=bool)
+        first[1:] = keys[order[1:]] != keys[order[:-1]]
+        bumped = np.empty(n, dtype=np.float64)
+
+        def bump(movers: np.ndarray) -> None:
+            state.record_traversal(slots[movers], types[movers])
+            if self.verbose:
+                bumped[movers] = state.values[slots[movers], types[movers]]
+
+        if first.all():
+            slots = state.select_next_hop(nodes, types, rng)
+            bump(index)
+        else:
+            slots = np.empty(n, dtype=np.int64)
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = index - np.maximum.accumulate(np.where(first, index, 0))
+            by_rank = np.argsort(rank, kind="stable")
+            rounds = np.split(by_rank, np.flatnonzero(np.diff(rank[by_rank])) + 1)
+            # A leaf's move is forced, but whether it draws depends on the
+            # value its bump chain has reached, so its chains go first.
+            leaf = self.topology.degrees[nodes] == 1
+            draws = ~leaf
+            for movers in rounds:
+                movers = movers[leaf[movers]]
+                if len(movers) == 0:
+                    continue
+                draws[movers] = state.roulette(nodes[movers], types[movers])[0] > 1
+                slots[movers] = self.topology.adj_indptr[nodes[movers]]
+                bump(movers)
+            position = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(draws, out=position[1:])
+            start = 0
+            while True:
+                saved, words, values = _uint32_stream(rng, int(position[n] - position[start]))
+                # The movers from `end` on wait for the first exceptional draw found.
+                end, done = n, []
+                for movers in rounds:
+                    movers = movers[~leaf[movers] & (movers >= start) & (movers < end)]
+                    if len(movers) == 0:
+                        continue
+                    totals, to_slots = state.roulette(nodes[movers], types[movers])
+                    picks, exceptional = _lemire_picks(values[position[movers] - position[start]], totals)
+                    chosen = to_slots(picks)
+                    if exceptional.any():
+                        end = int(movers[exceptional][0])
+                        for undo, old in reversed(done):
+                            back = undo >= end
+                            state.values[slots[undo[back]], types[undo[back]]] = old[back]
+                        done = [(undo[undo < end], old[undo < end]) for undo, old in done]
+                        chosen, movers = chosen[movers < end], movers[movers < end]
+                    slots[movers] = chosen
+                    done.append((movers, state.values[chosen, types[movers]]))
+                    bump(movers)
+                _leave_after(rng, saved, words, int(position[end] - position[start]))
+                if end == n:
+                    break
+                taken = index[end : end + 1]
+                slots[taken] = state.select_next_hop(nodes[taken], types[taken], rng)
+                bump(taken)
+                start = end + 1
+        if self.verbose:
+            links = self.topology.adj_links[slots]
+            rows = zip(nodes.tolist(), links.tolist(), types.tolist(), bumped.tolist())
+            self.trail_log.extend((self.t, *row) for row in rows)
+        return slots
 
     def _centralized_assign(self) -> None:
         """Teleport packet checkers onto deficits; pay 2 * hops to the gateway

@@ -149,7 +149,7 @@ def load_scenario(path: str | Path) -> Scenario:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from exc
     if not read:
         raise FileNotFoundError(path)

@@ -14,8 +14,26 @@ Selection and the bump take arrays, so the engine moves many checkers per
 call, with the same draws and values as one checker at a time:
 
 - A bump changes the weights only of a later checker with the same
-  (node, type), so a caller batches runs of checkers whose (node, type) keys
-  are distinct, cutting the id order at each repeat.
+  (node, type), so the engine moves checkers in rounds by rank, the number
+  of earlier movers with the same key: one `roulette` and one bump a round.
+  A step whose keys are all distinct is one round, drawn with one
+  `rng.integers(1, totals + 1)` call.
+- Rounds run out of id order, so the engine reads their draws ahead with
+  `bit_generator.random_raw`. PCG64 serves 32-bit values from its buffered
+  half-word, if `has_uint32` is set, then from each word's low half and then
+  its high half. A checker whose total is above 1 takes the next value x
+  and picks 1 + (x * total >> 32), numpy's Lemire draw (a total of exactly
+  2^32 too); a total of 1 draws nothing. The generator is then restored,
+  advanced by the words used, and its buffer set as the draws leave it.
+- Two draws take other than one accepted value: a rejected one (the
+  product's low half below 2^32 mod total, with probability below
+  total / 2^32), and a total above 2^32, which numpy draws from a whole
+  64-bit word, leaving the buffer alone. The engine rolls back the bumps of
+  the checkers from that one on and takes that draw from the generator.
+- A checker draws iff its total is above 1: always at degree 2 or more, and
+  at a leaf when its float weight ceil(max(1, v + 1 - v)) comes out as 2
+  (v = 1.03 does). A leaf's move is forced, so the engine settles its bump
+  chains first, and with them which leaf checkers draw.
 - A fallback node has unit weights. Its draw from [1, degree] consumes the
   stream as a uniform draw from [0, degree) would, and none at degree 1.
 - The bump takes e^old with `math.exp` per value: `np.exp` differs from it
@@ -109,16 +127,14 @@ class TrailState:
         np.subtract(self.values, self._decay_steps[:, None], out=self.values)
         np.maximum(self.values, 0.0, out=self.values)
 
-    def select_next_hop(self, nodes: np.ndarray, cell_types: np.ndarray, rng: np.random.Generator):
-        """Roulette pick among each node's links for its cell type; returns slots.
+    def roulette(self, nodes: np.ndarray, cell_types: np.ndarray):
+        """Each node's total link weight for its cell type, and the map from
+        one draw per node in [1, total] to the slot of the link it picks.
 
         Link i of a node weighs ceil(max(1, max_j(v_j) + 1 - v_i)) over the
-        node's values v for the type, or 1 at a fallback node. One draw per
-        node from [1, total weight], in input order, is mapped onto the
-        cumulative weight intervals in neighbor order, so lower trail values
-        get proportionally more mass. The picks equal one call per node only
-        if no two nodes share a (node, type) key that a bump in between
-        would change.
+        node's values v for the type, or 1 at a fallback node. A draw is
+        mapped onto the cumulative weight intervals in neighbor order, so
+        lower trail values get proportionally more mass.
         """
         degrees = self.topology.degrees[nodes]
         if not degrees.all():
@@ -135,5 +151,14 @@ class TrailState:
             weights[np.repeat(fallback, degrees)] = 1
         cumulative = weights.cumsum()
         totals = np.add.reduceat(weights, firsts)
-        picks = rng.integers(1, totals + 1)
-        return slots[cumulative.searchsorted(cumulative[ends - 1] - totals + picks)]
+        before = cumulative[ends - 1] - totals
+        return totals, lambda picks: slots[cumulative.searchsorted(before + picks)]
+
+    def select_next_hop(self, nodes: np.ndarray, cell_types: np.ndarray, rng: np.random.Generator):
+        """Roulette pick among each node's links for its cell type; returns
+        slots. One draw per node from [1, total weight], in input order. The
+        picks equal one call per node only if no two nodes share a
+        (node, type) key that a bump in between would change.
+        """
+        totals, to_slots = self.roulette(nodes, cell_types)
+        return to_slots(rng.integers(1, totals + 1))

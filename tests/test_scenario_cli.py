@@ -123,6 +123,14 @@ class TestCli:
         assert main(["validate", str(path)]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["validate"], ["run", "--out-dir", "out"], ["sweep", "--out-dir", "out"]])
+    def test_file_that_is_not_utf8_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[run]\nstrategy = trails # caf\xe9\n")
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed scenario file: ")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.ini")]) == 2
 

@@ -15,7 +15,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_model import roulette_pick, roulette_weights, trail_increase
@@ -32,9 +32,11 @@ from sentinet import (
     TrailParams,
     TrailState,
 )
+from sentinet.engine import _leave_after, _lemire_picks, _uint32_stream
 
 PARAMS = TrailParams()  # increase_base 10, increase_scale 1/1000, decay_step 2
 SHIPPED = TrailParams(increase_base=400.0, increase_scale=0.001, decay_step=0.5, value_cap=450.0)
+LARGE = TrailParams(value_cap=1e15)  # a bump from 30 on reaches 10 + e^30 / 1000, about 1.07e10
 
 
 def decimal_increase(old: float, params: TrailParams) -> float:
@@ -286,6 +288,27 @@ class TestSelection:
         assert list(tally[1:]) == list(weights)
 
 
+def replayed_picks(rng, totals: np.ndarray) -> np.ndarray:
+    """Draws from [1, total], in order, taken as the engine's trail rounds
+    take them: one read-ahead 32-bit value per total above 1, and a draw
+    flagged exceptional taken from `rng` itself once those before it are
+    settled."""
+    picks = np.ones(len(totals), dtype=np.int64)
+    start = 0
+    while True:
+        drawing = start + np.flatnonzero(totals[start:] > 1)
+        saved, words, values = _uint32_stream(rng, len(drawing))
+        got, exceptional = _lemire_picks(values[: len(drawing)], totals[drawing])
+        settled = int(exceptional.argmax()) if exceptional.any() else len(drawing)
+        picks[drawing[:settled]] = got[:settled]
+        _leave_after(rng, saved, words, settled)
+        if settled == len(drawing):
+            return picks
+        end = int(drawing[settled])
+        picks[end] = rng.integers(1, totals[end : end + 1] + 1)[0]
+        start = end + 1
+
+
 class TestBatchedDrawFacts:
     """What the batched node-checker moves rely on, pinned for this numpy."""
 
@@ -315,7 +338,7 @@ class TestBatchedDrawFacts:
             assert draws[:used].tolist() == [scalar.random() for _ in range(used)]
             assert block.bit_generator.state == scalar.bit_generator.state
 
-    @pytest.mark.parametrize("params", [PARAMS, SHIPPED, TrailParams(value_cap=1e15)])
+    @pytest.mark.parametrize("params", [PARAMS, SHIPPED, LARGE])
     def test_array_bump_equals_trail_increase(self, params):
         old = np.random.default_rng(13).uniform(0.0, params.exponent_cap, size=10_000)
         state = TrailState(star_topology(len(old)), params, cell_types=1)
@@ -324,11 +347,42 @@ class TestBatchedDrawFacts:
         state.record_traversal(slots, np.ones(len(old), dtype=np.int64))
         assert state.values[slots, 1].tolist() == [trail_increase(v, params) for v in old.tolist()]
 
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize(
+        "totals",
+        [
+            lambda rng: rng.integers(1, 61, size=400),
+            lambda rng: rng.integers(1, 4_000_000_000, size=400),  # rejections are common
+            lambda rng: rng.choice([1, 2, 59, 2**32 - 1, 2**32, 2**32 + 1], size=400),
+            lambda rng: rng.integers(1, 10**15, size=400),  # the 64-bit branch
+        ],
+        ids=["small", "below-2^32", "around-2^32", "up-to-1e15"],
+    )
+    def test_replayed_draws_equal_array_integers(self, totals, buffered):
+        for seed in range(5):
+            totals_now = totals(np.random.default_rng(100 + seed))
+            replay, direct = np.random.default_rng(seed), np.random.default_rng(seed)
+            if buffered:
+                replay.integers(0, 7)
+                direct.integers(0, 7)
+            assert replay.bit_generator.state["has_uint32"] == buffered
+            assert replayed_picks(replay, totals_now).tolist() == direct.integers(1, totals_now + 1).tolist()
+            assert replay.bit_generator.state == direct.bit_generator.state
+
     def test_repeated_pair_rejected(self):
         state = star_state([0, 0])
         with pytest.raises(ValueError):
             state.record_traversal(np.array([0, 1, 0]), np.array([1, 1, 1]))
         state.record_traversal(np.array([0, 0]), np.array([1, 2]))
+
+
+def with_leaf_and_hole(pairs, n) -> Topology:
+    """The graph of `pairs` on nodes 0..n-1, plus node n, a leaf of node 0,
+    and node n + 1, which has no links."""
+    return Topology(
+        roles=[NodeRole.GATEWAY] + [NodeRole.WORKSTATION] * (n + 1),
+        edges=[Connection(i, u, v) for i, (u, v) in enumerate(pairs + [(0, n)])],
+    )
 
 
 @st.composite
@@ -338,11 +392,7 @@ def node_checker_states(draw):
     graph_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tree, pairs = random_connected_graph(graph_rng, max_nodes=12)
     n = tree.node_count
-    pairs = pairs + [(0, n)]  # node n is a leaf; node n + 1 has no links
-    topology = Topology(
-        roles=[NodeRole.GATEWAY] + [NodeRole.WORKSTATION] * (n + 1),
-        edges=[Connection(i, u, v) for i, (u, v) in enumerate(pairs)],
-    )
+    topology = with_leaf_and_hole(pairs, n)
     cell_types = draw(st.integers(1, 3))
     per_type = draw(st.integers(1, 6))
     crowd = draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=4))
@@ -397,12 +447,22 @@ def sequential_uninformed_moves(topology, locs, base, rng):
 class TestNodeCheckerMovesMatchSequentialLoop:
     @given(
         setup=node_checker_states(),
-        params=st.sampled_from([PARAMS, SHIPPED]),
+        params=st.sampled_from([PARAMS, SHIPPED, LARGE]),
         value_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 99),
+        leaf_value=st.sampled_from([None, 1.03]),
+    )
+    # Same-type checkers stacked on the leaf (node 2), where 1.03 weighs 2,
+    # so the first of them draws, with a draw at node 0 after them.
+    @example(
+        setup=(with_leaf_and_hole([(0, 1)], 2), 1, 5, [2, 2, 0, 2, 0], []),
+        params=PARAMS,
+        value_seed=0,
+        seed=0,
+        leaf_value=1.03,
     )
     @settings(max_examples=150, deadline=None)
-    def test_trail_moves_equal_one_pick_per_checker(self, setup, params, value_seed, seed):
+    def test_trail_moves_equal_one_pick_per_checker(self, setup, params, value_seed, seed, leaf_value):
         topology, cell_types, per_type, locs, fallback = setup
         engine = node_checker_engine(
             topology, cell_types, per_type, locs, strategy="trails", trail_params=params, seed=seed
@@ -410,10 +470,17 @@ class TestNodeCheckerMovesMatchSequentialLoop:
         state = engine.trail_state
         state.set_bridge_fallback(fallback)
         # Trail values on both sides of the exponent cap, with ties and zeros.
+        # Under LARGE, values near 1e9 and 1e10 make totals near and above
+        # 2^32: rejected 32-bit values and 64-bit draws.
+        marks = [0.0, 1.0, 12.5, 29.0, 31.0, 400.0, 450.0]
+        if params is LARGE:
+            marks += [1e9, 1.2e9, 1.5e9, 2e9, 3e9, 1e10]
         value_rng = np.random.default_rng(value_seed)
         shape = state.values.shape
-        picked = value_rng.choice([0.0, 1.0, 12.5, 29.0, 31.0, 400.0, 450.0], size=shape)
+        picked = value_rng.choice(marks, size=shape)
         state.values[:] = np.where(value_rng.random(shape) < 0.5, picked, value_rng.uniform(0, 40, shape))
+        if leaf_value is not None:
+            state.values[topology.adj_indptr[topology.node_count - 2]] = leaf_value
         types = engine.cell_type[engine.n_pc :].tolist()
         for _ in range(3):
             rng = copy.deepcopy(engine._rng_selection)
