@@ -359,7 +359,7 @@ class Engine:
 
         self.traffic_source = TrafficSource(config.traffic, topology, k)
         self.in_flight: list[TrafficPacket] = []
-        self.infections: set[tuple[int, int]] = set()  # active (node, intrusion) pairs
+        self.infected = np.zeros((n, k + 1), dtype=bool)  # active (node, intrusion) pairs
 
         self._rng_traffic = _substream(config.seed, _STREAM_TRAFFIC)
         self._rng_movement = _substream(config.seed, _STREAM_MOVEMENT)
@@ -440,18 +440,21 @@ class Engine:
                     (t, packet.packet_id, packet.source, packet.destination, payload or 0, fate, node)
                 )
         self.in_flight = survivors
-        fresh = set(landed) - self.infections
-        self.infections |= fresh
-        self.infections_created += len(fresh)
+        for key in landed:
+            if not self.infected[key]:
+                self.infected[key] = True
+                self.infections_created += 1
 
     def _phase_node_checks(self) -> None:
         nodes = self.loc[self.n_pc :]
         self._check_nodes[self.t] = nodes
-        if self.infections:
+        types = self.cell_type[self.n_pc :]
+        found = self.infected[nodes, types]
+        if found.any():
+            nodes, types = nodes[found], types[found]
+            self.infected[nodes, types] = False
             # A (node, type) checked by several checkers is cleared once.
-            cleared = self.infections & set(zip(nodes.tolist(), self.cell_type[self.n_pc :].tolist()))
-            self.infections -= cleared
-            self.infections_cleared += len(cleared)
+            self.infections_cleared += len(set(zip(nodes.tolist(), types.tolist())))
 
     def _phase_security(self) -> np.ndarray:
         n = self.topology.node_count
@@ -682,7 +685,7 @@ class Engine:
             delivered_infected=self.delivered_infected,
             infections_created=self.infections_created,
             infections_cleared=self.infections_cleared,
-            infections_active=len(self.infections),
+            infections_active=int(np.count_nonzero(self.infected)),
             control_bandwidth=self.control_bandwidth if self.centralized else float(sent),
             notification_packets_total=sent,
             max_link_load=self.max_link_load,

@@ -554,6 +554,8 @@ def replay_trails(engine: Engine) -> np.ndarray:
 
 # All node checkers start on one node, so a step bumps a pair in several batches.
 _crowded_trails = dict(strategy="trails", node_checkers_per_type=4, start_nodes=[0], duration=20)
+# Many nodes and few node checkers: the fade never falls back to the full pass.
+_sparse_trails = dict(strategy="trails", topology=TopologyConfig(node_count=300, seed=5), duration=200)
 
 
 class TestTrailLog:
@@ -586,12 +588,16 @@ class TestTrailLog:
                 bridge_fallback=True,
                 trail_params=TrailParams(increase_base=40.0, decay_step=0.5, value_cap=45.0),
             ),
+            _sparse_trails,
         ],
     )
     def test_fade_and_bumps_replay_the_trail_values(self, overrides):
         engine = Engine(small_config(**overrides), verbose=True)
         engine.run()
         assert engine.trail_state.values.any()
+        if overrides is _sparse_trails:
+            # Every fade of the run visits only the tracked entries.
+            assert not engine.trail_state.full_pass
         assert np.array_equal(replay_trails(engine), engine.trail_state.values)
 
     def test_quiet_run_logs_nothing(self):

@@ -33,6 +33,7 @@ from sentinet import (
     TrailState,
 )
 from sentinet.engine import _leave_after, _lemire_picks, _uint32_stream
+from sentinet.trails import _FULL_PASS_SHARE
 
 PARAMS = TrailParams()  # increase_base 10, increase_scale 1/1000, decay_step 2
 SHIPPED = TrailParams(increase_base=400.0, increase_scale=0.001, decay_step=0.5, value_cap=450.0)
@@ -154,6 +155,69 @@ class TestDecay:
         assert out >= 0.0
         if v == 0.0:
             assert out == 0.0
+
+
+@st.composite
+def fade_programs(draw):
+    """A topology and trail state with values seeded before the first fade,
+    then a run of bumps, rolled-back bumps, fades and decay overrides; big
+    bump batches cross into the full pass."""
+    graph_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    topology, _ = random_connected_graph(graph_rng, max_nodes=16)
+    cell_types = draw(st.integers(1, 3))
+    params = draw(st.sampled_from([PARAMS, SHIPPED, TrailParams(decay_step=0.3)]))
+    entries = int(topology.adj_indptr[-1]) * cell_types
+    pair = st.tuples(st.integers(0, int(topology.adj_indptr[-1]) - 1), st.integers(1, cell_types))
+    value = st.sampled_from([0.0, 0.25, 1.0, 2.0, 3.7, 12.5, 450.0, 1e6])
+    seeded = draw(st.lists(st.tuples(pair, value), max_size=entries))
+    op = st.one_of(
+        st.tuples(st.just("bump"), st.lists(pair, unique=True, max_size=entries)),
+        st.tuples(st.just("undo"), st.lists(pair, unique=True, min_size=1, max_size=4)),
+        st.tuples(st.just("fade")),
+        st.tuples(st.just("override"), st.integers(0, topology.node_count - 1), st.sampled_from([0.05, 0.7, 9.0])),
+    )
+    ops = draw(st.lists(op, max_size=30)) + [("fade",)]
+    return topology, cell_types, params, seeded, ops
+
+
+class TestTrackedFade:
+    @given(program=fade_programs())
+    @settings(max_examples=300, deadline=None)
+    def test_tracked_fade_equals_the_full_pass(self, program):
+        topology, cell_types, params, seeded, ops = program
+        state = TrailState(topology, params, cell_types)
+        for (slot, ctype), value in seeded:
+            state.values[slot, ctype] = value
+        steps = np.full(len(state.values), params.decay_step)
+        indptr = topology.adj_indptr
+        for op, *args in ops:
+            if op == "fade":
+                want = np.maximum(state.values - steps[:, None], 0.0)
+                state.decay_all()
+                assert np.array_equal(state.values, want)
+            elif op == "override":
+                node, step = args
+                state.set_node_decay_step(node, step)
+                steps[indptr[node] : indptr[node + 1]] = step
+            else:
+                slots, types = np.array(args[0], dtype=np.int64).reshape(-1, 2).T
+                old = state.values[slots, types]
+                state.record_traversal(slots, types)
+                if op == "undo":  # the engine's rollback of its own bumps
+                    state.values[slots, types] = old
+
+    def test_falls_back_to_the_full_pass_for_good(self):
+        state = star_state([0.0] * 8)
+        share = math.ceil(_FULL_PASS_SHARE * state.values.size)
+        state.record_traversal(np.arange(share - 1), 1)
+        state.decay_all()
+        assert not state.full_pass
+        state.record_traversal(share - 1, 1)
+        state.decay_all()
+        assert state.full_pass
+        for _ in range(10):
+            state.decay_all()
+        assert state.full_pass and not state.values.any()
 
 
 class TestRecordTraversal:
