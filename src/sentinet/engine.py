@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -48,40 +48,6 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 _LOW_HALF = np.uint64(0xFFFFFFFF)
 
 
-def _uint32_stream(rng: np.random.Generator, count: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    """The next `count` 32-bit values that `rng` would serve, read ahead.
-
-    PCG64 serves its buffered half-word first, if it holds one, then each
-    word's low half and then its high half. Returns the state before the
-    read, the words read and the values; `_leave_after` puts `rng` where
-    some of those draws would have left it.
-    """
-    saved = rng.bit_generator.state
-    buffered = saved["has_uint32"]
-    words = rng.bit_generator.random_raw((count - buffered + 1) // 2)
-    values = np.stack([words & _LOW_HALF, words >> np.uint64(32)], axis=1).ravel()
-    if buffered:
-        values = np.concatenate([np.array([saved["uinteger"]], dtype=np.uint64), values])
-    return saved, words, values
-
-
-def _leave_after(rng: np.random.Generator, saved: dict, words: np.ndarray, used: int) -> None:
-    """Set `rng` to the state that `used` 32-bit draws from `saved` leave:
-    the words they read, and the last word's high half still buffered if
-    they took its low half only."""
-    bits = rng.bit_generator
-    bits.state = saved
-    if used == 0:
-        return
-    from_words = used - saved["has_uint32"]
-    read = (from_words + 1) // 2
-    bits.advance(read)  # which empties the buffer
-    state = bits.state
-    state["has_uint32"] = from_words % 2
-    state["uinteger"] = int(words[read - 1] >> np.uint64(32)) if read else saved["uinteger"]
-    bits.state = state
-
-
 def _lemire_picks(values: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """numpy's bounded draw from [1, total] on one accepted 32-bit value
     each: 1 + (value * total >> 32). Also flags the draws that take more
@@ -101,7 +67,8 @@ def _resting_moves(rng: np.random.Generator, count: int, rate: float) -> tuple[n
     The draws come as one block of 2 * count. The draw after a staying one
     always starts a decision, and within a run of moving draws decisions and
     neighbour draws alternate, so where each decision starts is known
-    without a walk. The stream is then rewound to just past the draws used.
+    without a walk. The stream is then rewound and the draws used are drawn
+    again, which leaves it where they would.
     """
     saved = rng.bit_generator.state
     draws = rng.random(2 * count)
@@ -112,11 +79,20 @@ def _resting_moves(rng: np.random.Generator, count: int, rate: float) -> tuple[n
     starts_decision[1:] = ~moves[:-1] | ((index[:-1] - run_start[:-1]) % 2 == 1)
     decisions = np.flatnonzero(starts_decision)[:count]
     moving = moves[decisions]
-    # `advance` also empties PCG64's 32-bit buffer: `random` never fills it,
-    # and a stream that serves the resting wander draws nothing else.
     rng.bit_generator.state = saved
-    rng.bit_generator.advance(int(decisions[-1]) + 1 + int(moving[-1]))
+    rng.random(int(decisions[-1]) + 1 + int(moving[-1]))
     return moving, draws[decisions[moving] + 1]
+
+
+def _check_integers(params, prefix: str = "") -> None:
+    """Reject a field annotated int or list[int] (or either `| None`) that
+    holds something else, such as 1.5 or 2.0; the key is `prefix` + name."""
+    for f in fields(params):
+        kind, value = f.type.removesuffix(" | None"), getattr(params, f.name)
+        if value is None or kind not in ("int", "list[int]"):
+            continue
+        if not all(isinstance(x, (int, np.integer)) for x in (value if kind == "list[int]" else [value])):
+            raise ConfigError(f"{prefix}{f.name}: must be an integer, got {value!r}")
 
 
 STRATEGIES = ("uninformed", "notification", "trails", "protocols", "centralized")
@@ -166,6 +142,16 @@ class SimulationConfig:
     coverage_window: int | None = None
 
     def validate(self) -> None:
+        sections = {
+            "movement": self.movement,
+            "trails": self.trail_params,
+            "notify": self.notify_params,
+            "traffic": self.traffic,
+            "topology": self.topology,
+        }
+        _check_integers(self)
+        for prefix, params in sections.items():
+            _check_integers(params, f"{prefix}.")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: unknown strategy {self.strategy!r}")
         if self.duration < 1:
@@ -186,13 +172,6 @@ class SimulationConfig:
         for key, value in requirements:
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{key}: must be finite and non-negative")
-        sections = {
-            "movement": self.movement,
-            "trails": self.trail_params,
-            "notify": self.notify_params,
-            "traffic": self.traffic,
-            "topology": self.topology,
-        }
         for prefix, params in sections.items():
             try:
                 params.validate()
@@ -538,7 +517,11 @@ class Engine:
         with their key. Rounds run out of id order, so their draws are read
         ahead from the stream, one 32-bit value per drawing mover in id
         order. A draw that needs more than that is taken from the generator
-        itself, after the bumps of the movers from it on are rolled back.
+        itself, after the bumps of the movers from it on are rolled back and
+        the stream is rewound to it. Every round runs first: a mover below
+        that draw sees the total and value that one pick at a time gives it,
+        so only movers above it can be flagged wrongly, and the lowest
+        flagged id is that draw.
         """
         state, rng, n = self.trail_state, self._rng_selection, len(nodes)
         keys = nodes * (self.config.cell_types + 1) + types
@@ -577,29 +560,28 @@ class Engine:
             np.cumsum(draws, out=position[1:])
             start = 0
             while True:
-                saved, words, values = _uint32_stream(rng, int(position[n] - position[start]))
-                # The movers from `end` on wait for the first exceptional draw found.
+                saved = rng.bit_generator.state
+                values = rng.integers(0, 1 << 32, size=int(position[n] - position[start]), dtype=np.uint64)
+                # The movers from `end` on wait for the lowest-id draw flagged.
                 end, done = n, []
                 for movers in rounds:
-                    movers = movers[~leaf[movers] & (movers >= start) & (movers < end)]
+                    movers = movers[~leaf[movers] & (movers >= start)]
                     if len(movers) == 0:
                         continue
                     totals, to_slots = state.roulette(nodes[movers], types[movers])
                     picks, exceptional = _lemire_picks(values[position[movers] - position[start]], totals)
-                    chosen = to_slots(picks)
+                    slots[movers] = to_slots(picks)
                     if exceptional.any():
-                        end = int(movers[exceptional][0])
-                        for undo, old in reversed(done):
-                            back = undo >= end
-                            state.values[slots[undo[back]], types[undo[back]]] = old[back]
-                        done = [(undo[undo < end], old[undo < end]) for undo, old in done]
-                        chosen, movers = chosen[movers < end], movers[movers < end]
-                    slots[movers] = chosen
-                    done.append((movers, state.values[chosen, types[movers]]))
+                        end = min(end, int(movers[exceptional][0]))
+                    done.append((movers, state.values[slots[movers], types[movers]]))
                     bump(movers)
-                _leave_after(rng, saved, words, int(position[end] - position[start]))
                 if end == n:
                     break
+                for undo, old in reversed(done):
+                    back = undo >= end
+                    state.values[slots[undo[back]], types[undo[back]]] = old[back]
+                rng.bit_generator.state = saved
+                rng.integers(0, 1 << 32, size=int(position[end] - position[start]), dtype=np.uint64)
                 taken = index[end : end + 1]
                 slots[taken] = state.select_next_hop(nodes[taken], types[taken], rng)
                 bump(taken)

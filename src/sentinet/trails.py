@@ -19,17 +19,21 @@ call, with the same draws and values as one checker at a time:
   A step whose keys are all distinct is one round, drawn with one
   `rng.integers(1, totals + 1)` call.
 - Rounds run out of id order, so the engine reads their draws ahead with
-  `bit_generator.random_raw`. PCG64 serves 32-bit values from its buffered
-  half-word, if `has_uint32` is set, then from each word's low half and then
-  its high half. A checker whose total is above 1 takes the next value x
-  and picks 1 + (x * total >> 32), numpy's Lemire draw (a total of exactly
-  2^32 too); a total of 1 draws nothing. The generator is then restored,
-  advanced by the words used, and its buffer set as the draws leave it.
+  one `rng.integers(0, 2**32, size=m, dtype=np.uint64)`: the next m 32-bit
+  values, in the order numpy's bounded draws take them. A checker whose
+  total is above 1 takes the next value x and picks 1 + (x * total >> 32),
+  numpy's Lemire draw (a total of exactly 2^32 too); a total of 1 draws
+  nothing. When all m values are used, the generator is already where m
+  draws leave it; otherwise it is restored and the values used are drawn
+  again.
 - Two draws take other than one accepted value: a rejected one (the
   product's low half below 2^32 mod total, with probability below
   total / 2^32), and a total above 2^32, which numpy draws from a whole
-  64-bit word, leaving the buffer alone. The engine rolls back the bumps of
-  the checkers from that one on and takes that draw from the generator.
+  64-bit word. The engine runs every round, then takes the lowest id
+  flagged as the first such draw: a checker below it sees the total and
+  value of one pick at a time, so none is flagged wrongly. It rolls back
+  the bumps of the checkers from that one on, in reverse order, rewinds the
+  stream to it and takes that draw from the generator.
 - A checker draws iff its total is above 1: always at degree 2 or more, and
   at a leaf when its float weight ceil(max(1, v + 1 - v)) comes out as 2
   (v = 1.03 does). A leaf's move is forced, so the engine settles its bump
@@ -118,12 +122,15 @@ class TrailState:
         self.full_pass = False
 
     def set_bridge_fallback(self, nodes: list[int]) -> None:
+        for node in nodes:
+            self.topology._check_node(node)
         self.bridge_fallback[nodes] = True
 
     def set_node_decay_step(self, node: int, decay_step: float) -> None:
         """Per-node override: a steeper fade is the other bridge remedy."""
-        if decay_step <= 0:
-            raise ValueError("decay_step must be positive")
+        self.topology._check_node(node)
+        if not 0 < decay_step < math.inf:
+            raise ValueError("decay_step must be finite and positive")
         indptr = self.topology.adj_indptr
         self._decay_steps[indptr[node] : indptr[node + 1]] = decay_step
 

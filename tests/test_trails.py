@@ -29,10 +29,11 @@ from sentinet import (
     SimulationConfig,
     Topology,
     TopologyConfig,
+    TopologyError,
     TrailParams,
     TrailState,
 )
-from sentinet.engine import _leave_after, _lemire_picks, _uint32_stream
+from sentinet.engine import _lemire_picks
 from sentinet.trails import _FULL_PASS_SHARE
 
 PARAMS = TrailParams()  # increase_base 10, increase_scale 1/1000, decay_step 2
@@ -257,6 +258,24 @@ class TestRecordTraversal:
         state.decay_all()
         assert list(state.values[:3, 1]) == [6.0, 1.0, 0.0]  # node 0 owns slots 0-2
 
+    def test_setters_reject_unknown_nodes_and_bad_steps(self):
+        state = star_state([0.0, 0.0])  # nodes 0..2
+        for set_unknown in (
+            lambda: state.set_node_decay_step(-1, 2.0),
+            lambda: state.set_node_decay_step(3, 2.0),
+            lambda: state.set_bridge_fallback([-1]),
+            lambda: state.set_bridge_fallback([0, 3]),
+        ):
+            with pytest.raises(TopologyError, match="unknown node"):
+                set_unknown()
+        for step in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="decay_step"):
+                state.set_node_decay_step(0, step)
+        assert not state.bridge_fallback.any()
+        state.values[0, 1] = 5.0
+        state.decay_all()
+        assert state.values[0, 1] == 5.0 - PARAMS.decay_step
+
     def test_values_stay_within_bounds_under_random_operation_sequences(self):
         params = TrailParams(value_cap=50.0)
         state = star_state([0, 0, 0, 0], params=params)
@@ -354,20 +373,22 @@ class TestSelection:
 
 def replayed_picks(rng, totals: np.ndarray) -> np.ndarray:
     """Draws from [1, total], in order, taken as the engine's trail rounds
-    take them: one read-ahead 32-bit value per total above 1, and a draw
-    flagged exceptional taken from `rng` itself once those before it are
-    settled."""
+    take them: one 32-bit value read ahead per total above 1, and a draw
+    flagged exceptional taken from `rng` itself, once the stream is rewound
+    and the values before it are drawn again."""
     picks = np.ones(len(totals), dtype=np.int64)
     start = 0
     while True:
         drawing = start + np.flatnonzero(totals[start:] > 1)
-        saved, words, values = _uint32_stream(rng, len(drawing))
-        got, exceptional = _lemire_picks(values[: len(drawing)], totals[drawing])
+        saved = rng.bit_generator.state
+        values = rng.integers(0, 1 << 32, size=len(drawing), dtype=np.uint64)
+        got, exceptional = _lemire_picks(values, totals[drawing])
         settled = int(exceptional.argmax()) if exceptional.any() else len(drawing)
         picks[drawing[:settled]] = got[:settled]
-        _leave_after(rng, saved, words, settled)
         if settled == len(drawing):
             return picks
+        rng.bit_generator.state = saved
+        rng.integers(0, 1 << 32, size=settled, dtype=np.uint64)
         end = int(drawing[settled])
         picks[end] = rng.integers(1, totals[end : end + 1] + 1)[0]
         start = end + 1
@@ -392,13 +413,13 @@ class TestBatchedDrawFacts:
             if degree == 1:
                 assert zero.bit_generator.state == before
 
-    def test_block_rewound_and_advanced_equals_scalar_draws(self):
+    def test_block_rewound_and_redrawn_equals_scalar_draws(self):
         for used in (0, 1, 7, 13, 20):
             block, scalar = np.random.default_rng(21), np.random.default_rng(21)
             saved = block.bit_generator.state
             draws = block.random(20)
             block.bit_generator.state = saved
-            block.bit_generator.advance(used)
+            block.random(used)
             assert draws[:used].tolist() == [scalar.random() for _ in range(used)]
             assert block.bit_generator.state == scalar.bit_generator.state
 
@@ -479,21 +500,49 @@ def node_checker_engine(topology, cell_types, per_type, locs, **overrides) -> En
     return engine
 
 
+def trail_engine(setup, params, value_seed, seed, leaf_value) -> Engine:
+    """A trails engine on a `node_checker_states` setup, its trail values on
+    both sides of the exponent cap, with ties and zeros. Under LARGE, values
+    near 1e9 and 1e10 make totals near and above 2^32: rejected 32-bit values
+    and 64-bit draws. A `leaf_value` is put on the leaf's link."""
+    topology, cell_types, per_type, locs, fallback = setup
+    engine = node_checker_engine(
+        topology, cell_types, per_type, locs, strategy="trails", trail_params=params, seed=seed
+    )
+    state = engine.trail_state
+    state.set_bridge_fallback(fallback)
+    marks = [0.0, 1.0, 12.5, 29.0, 31.0, 400.0, 450.0]
+    if params is LARGE:
+        marks += [1e9, 1.2e9, 1.5e9, 2e9, 3e9, 1e10]
+    value_rng = np.random.default_rng(value_seed)
+    shape = state.values.shape
+    picked = value_rng.choice(marks, size=shape)
+    state.values[:] = np.where(value_rng.random(shape) < 0.5, picked, value_rng.uniform(0, 40, shape))
+    if leaf_value is not None:
+        state.values[topology.adj_indptr[topology.node_count - 2]] = leaf_value
+    return engine
+
+
 def sequential_trail_moves(topology, state, locs, types, rng):
-    """One roulette pick and one bump per checker, in id order."""
-    values, locs = state.values.copy(), list(locs)
+    """One roulette pick and one bump per checker, in id order. Also returns
+    the ids of the checkers whose draw took other than one 32-bit value."""
+    values, locs, exceptional = state.values.copy(), list(locs), []
     indptr = topology.adj_indptr.tolist()
     for i, (node, ctype) in enumerate(zip(locs, types)):
         start, end = indptr[node], indptr[node + 1]
         if start == end:
             continue
+        before, one_value = rng.bit_generator.state, copy.deepcopy(rng)
+        one_value.integers(0, 1 << 32, dtype=np.uint64)
         if state.bridge_fallback[node]:
             slot = start + int(rng.integers(0, end - start))
         else:
             slot = start + roulette_pick(values[start:end, ctype].tolist(), rng)
+        if rng.bit_generator.state not in (before, one_value.bit_generator.state):
+            exceptional.append(i)
         values[slot, ctype] = trail_increase(float(values[slot, ctype]), state.params)
         locs[i] = int(topology.adj_neighbors[slot])
-    return locs, values
+    return locs, values, exceptional
 
 
 def sequential_uninformed_moves(topology, locs, base, rng):
@@ -506,6 +555,20 @@ def sequential_uninformed_moves(topology, locs, base, rng):
             continue
         locs[i] = int(topology.adj_neighbors[start + int(rng.random() * (end - start))])
     return locs
+
+
+# Checkers 0 and 1 share node 0 of a triangle, checker 2 stands on node 1.
+# Checker 0's bump takes a link from 29 to about 3.9e9, so checker 1, of
+# rank 1, draws from a total above 2^32: the first exceptional draw, found
+# after checker 2, of rank 0, has been bumped, so that bump must be rolled
+# back.
+CROSSING = dict(
+    setup=(with_leaf_and_hole([(0, 1), (0, 2), (1, 2)], 3), 1, 3, [0, 0, 1], []),
+    params=LARGE,
+    value_seed=2,
+    seed=1,
+    leaf_value=None,
+)
 
 
 class TestNodeCheckerMovesMatchSequentialLoop:
@@ -525,36 +588,32 @@ class TestNodeCheckerMovesMatchSequentialLoop:
         seed=0,
         leaf_value=1.03,
     )
+    @example(**CROSSING)
     @settings(max_examples=150, deadline=None)
     def test_trail_moves_equal_one_pick_per_checker(self, setup, params, value_seed, seed, leaf_value):
-        topology, cell_types, per_type, locs, fallback = setup
-        engine = node_checker_engine(
-            topology, cell_types, per_type, locs, strategy="trails", trail_params=params, seed=seed
-        )
-        state = engine.trail_state
-        state.set_bridge_fallback(fallback)
-        # Trail values on both sides of the exponent cap, with ties and zeros.
-        # Under LARGE, values near 1e9 and 1e10 make totals near and above
-        # 2^32: rejected 32-bit values and 64-bit draws.
-        marks = [0.0, 1.0, 12.5, 29.0, 31.0, 400.0, 450.0]
-        if params is LARGE:
-            marks += [1e9, 1.2e9, 1.5e9, 2e9, 3e9, 1e10]
-        value_rng = np.random.default_rng(value_seed)
-        shape = state.values.shape
-        picked = value_rng.choice(marks, size=shape)
-        state.values[:] = np.where(value_rng.random(shape) < 0.5, picked, value_rng.uniform(0, 40, shape))
-        if leaf_value is not None:
-            state.values[topology.adj_indptr[topology.node_count - 2]] = leaf_value
+        engine = trail_engine(setup, params, value_seed, seed, leaf_value)
+        topology, state = engine.topology, engine.trail_state
         types = engine.cell_type[engine.n_pc :].tolist()
         for _ in range(3):
             rng = copy.deepcopy(engine._rng_selection)
             before = engine.loc[engine.n_pc :].tolist()
-            want_locs, want_values = sequential_trail_moves(topology, state, before, types, rng)
+            want_locs, want_values, _ = sequential_trail_moves(topology, state, before, types, rng)
             engine._move_node_checkers()
             assert engine.loc[engine.n_pc :].tolist() == want_locs
             assert np.array_equal(state.values, want_values)
             assert engine._rng_selection.bit_generator.state == rng.bit_generator.state
             state.decay_all()
+
+    def test_crossing_example_rolls_back_a_bump_of_an_earlier_round(self):
+        engine = trail_engine(**CROSSING)
+        locs, types = engine.loc[engine.n_pc :].tolist(), engine.cell_type[engine.n_pc :].tolist()
+        rng = copy.deepcopy(engine._rng_selection)
+        _, _, exceptional = sequential_trail_moves(engine.topology, engine.trail_state, locs, types, rng)
+        keys = list(zip(locs, types))
+        first = exceptional[0]
+        assert keys[:first].count(keys[first]) == 1
+        degrees = engine.topology.degrees
+        assert any(keys[:j].count(keys[j]) == 0 and degrees[locs[j]] > 1 for j in range(first + 1, len(keys)))
 
     @given(setup=node_checker_states(), base=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 99))
     @settings(max_examples=100, deadline=None)
