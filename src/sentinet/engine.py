@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .metrics import MetricsReport
 from .notify import NotifyParams, relay
 from .threat import TrafficConfig, TrafficPacket, TrafficSource
-from .topology import NodeRole, Topology, TopologyConfig, TopologyError, generate_topology
+from .topology import NodeRole, Topology, TopologyConfig, TopologyError, check_integers, generate_topology
 from .trails import TrailParams, TrailState
 
 
@@ -43,20 +43,6 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     )
-
-
-_LOW_HALF = np.uint64(0xFFFFFFFF)
-
-
-def _lemire_picks(values: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw from [1, total] on one accepted 32-bit value
-    each: 1 + (value * total >> 32). Also flags the draws that take more
-    than `values` gives them: a rejected value (the low half of the product
-    below 2^32 mod total), or a total above 2^32, drawn from a 64-bit word."""
-    wide = totals.astype(np.uint64)
-    product = values * wide
-    exceptional = (totals > 1 << 32) | ((product & _LOW_HALF) < np.uint64(1 << 32) % wide)
-    return (product >> np.uint64(32)).astype(np.int64) + 1, exceptional
 
 
 def _resting_moves(rng: np.random.Generator, count: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -84,17 +70,6 @@ def _resting_moves(rng: np.random.Generator, count: int, rate: float) -> tuple[n
     return moving, draws[decisions[moving] + 1]
 
 
-def _check_integers(params, prefix: str = "") -> None:
-    """Reject a field annotated int or list[int] (or either `| None`) that
-    holds something else, such as 1.5 or 2.0; the key is `prefix` + name."""
-    for f in fields(params):
-        kind, value = f.type.removesuffix(" | None"), getattr(params, f.name)
-        if value is None or kind not in ("int", "list[int]"):
-            continue
-        if not all(isinstance(x, (int, np.integer)) for x in (value if kind == "list[int]" else [value])):
-            raise ConfigError(f"{prefix}{f.name}: must be an integer, got {value!r}")
-
-
 STRATEGIES = ("uninformed", "notification", "trails", "protocols", "centralized")
 
 
@@ -112,6 +87,7 @@ class MovementParams:
     max_probability: float = 0.8
 
     def validate(self) -> None:
+        check_integers(self, ValueError)
         if not 0.0 <= self.base_probability <= self.max_probability <= 1.0:
             raise ValueError("need 0 <= base_probability <= max_probability <= 1")
         if not 0.0 <= self.gain < math.inf:
@@ -149,9 +125,7 @@ class SimulationConfig:
             "traffic": self.traffic,
             "topology": self.topology,
         }
-        _check_integers(self)
-        for prefix, params in sections.items():
-            _check_integers(params, f"{prefix}.")
+        check_integers(self, ConfigError)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: unknown strategy {self.strategy!r}")
         if self.duration < 1:
@@ -505,92 +479,11 @@ class Engine:
             movers, nodes = movers[moving], nodes[moving]
             slots = topo.adj_indptr[nodes] + (draws * topo.degrees[nodes]).astype(np.int64)
         else:
-            slots = self._trail_moves(nodes, types)
-        locs[movers] = topo.adj_neighbors[slots]
-
-    def _trail_moves(self, nodes: np.ndarray, types: np.ndarray) -> np.ndarray:
-        """The slot each mover takes and bumps, as one roulette pick and one
-        bump per mover in id order would leave them, selection stream too.
-
-        A bump only changes what a later mover with the same (node, type)
-        sees, so movers go in rounds by rank, the number of earlier movers
-        with their key. Rounds run out of id order, so their draws are read
-        ahead from the stream, one 32-bit value per drawing mover in id
-        order. A draw that needs more than that is taken from the generator
-        itself, after the bumps of the movers from it on are rolled back and
-        the stream is rewound to it. Every round runs first: a mover below
-        that draw sees the total and value that one pick at a time gives it,
-        so only movers above it can be flagged wrongly, and the lowest
-        flagged id is that draw.
-        """
-        state, rng, n = self.trail_state, self._rng_selection, len(nodes)
-        keys = nodes * (self.config.cell_types + 1) + types
-        order = np.argsort(keys, kind="stable")
-        index = np.arange(n)
-        first = np.ones(n, dtype=bool)
-        first[1:] = keys[order[1:]] != keys[order[:-1]]
-        bumped = np.empty(n, dtype=np.float64)
-
-        def bump(movers: np.ndarray) -> None:
-            state.record_traversal(slots[movers], types[movers])
+            slots, bumped = state.move(nodes, types, rng)
             if self.verbose:
-                bumped[movers] = state.values[slots[movers], types[movers]]
-
-        if first.all():
-            slots = state.select_next_hop(nodes, types, rng)
-            bump(index)
-        else:
-            slots = np.empty(n, dtype=np.int64)
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = index - np.maximum.accumulate(np.where(first, index, 0))
-            by_rank = np.argsort(rank, kind="stable")
-            rounds = np.split(by_rank, np.flatnonzero(np.diff(rank[by_rank])) + 1)
-            # A leaf's move is forced, but whether it draws depends on the
-            # value its bump chain has reached, so its chains go first.
-            leaf = self.topology.degrees[nodes] == 1
-            draws = ~leaf
-            for movers in rounds:
-                movers = movers[leaf[movers]]
-                if len(movers) == 0:
-                    continue
-                draws[movers] = state.roulette(nodes[movers], types[movers])[0] > 1
-                slots[movers] = self.topology.adj_indptr[nodes[movers]]
-                bump(movers)
-            position = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(draws, out=position[1:])
-            start = 0
-            while True:
-                saved = rng.bit_generator.state
-                values = rng.integers(0, 1 << 32, size=int(position[n] - position[start]), dtype=np.uint64)
-                # The movers from `end` on wait for the lowest-id draw flagged.
-                end, done = n, []
-                for movers in rounds:
-                    movers = movers[~leaf[movers] & (movers >= start)]
-                    if len(movers) == 0:
-                        continue
-                    totals, to_slots = state.roulette(nodes[movers], types[movers])
-                    picks, exceptional = _lemire_picks(values[position[movers] - position[start]], totals)
-                    slots[movers] = to_slots(picks)
-                    if exceptional.any():
-                        end = min(end, int(movers[exceptional][0]))
-                    done.append((movers, state.values[slots[movers], types[movers]]))
-                    bump(movers)
-                if end == n:
-                    break
-                for undo, old in reversed(done):
-                    back = undo >= end
-                    state.values[slots[undo[back]], types[undo[back]]] = old[back]
-                rng.bit_generator.state = saved
-                rng.integers(0, 1 << 32, size=int(position[end] - position[start]), dtype=np.uint64)
-                taken = index[end : end + 1]
-                slots[taken] = state.select_next_hop(nodes[taken], types[taken], rng)
-                bump(taken)
-                start = end + 1
-        if self.verbose:
-            links = self.topology.adj_links[slots]
-            rows = zip(nodes.tolist(), links.tolist(), types.tolist(), bumped.tolist())
-            self.trail_log.extend((self.t, *row) for row in rows)
-        return slots
+                rows = zip(nodes.tolist(), topo.adj_links[slots].tolist(), types.tolist(), bumped.tolist())
+                self.trail_log.extend((self.t, *row) for row in rows)
+        locs[movers] = topo.adj_neighbors[slots]
 
     def _centralized_assign(self) -> None:
         """Teleport packet checkers onto deficits; pay 2 * hops to the gateway

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Topology, TopologyError
+from .topology import Topology, TopologyError, check_integers
 
 
 @dataclass
@@ -36,6 +36,7 @@ class NotifyParams:
     own_emission_wins: bool = True
 
     def validate(self) -> None:
+        check_integers(self, ValueError)
         if not 0.0 <= self.forward_threshold < math.inf:
             raise ValueError("forward_threshold must be finite and non-negative")
 

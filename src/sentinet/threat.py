@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import NodeRole, Topology, walk_back
+from .topology import NodeRole, Topology, check_integers, walk_back
 
 
 @dataclass
@@ -28,6 +28,7 @@ class TrafficConfig:
     infections_per_step: float = 0.0
 
     def validate(self) -> None:
+        check_integers(self, ValueError)
         if self.packets_per_step < 0:
             raise ValueError("packets_per_step must be non-negative")
         if not 0.0 <= self.infection_probability <= 1.0:

@@ -10,7 +10,7 @@ is the degenerate shape some placement protocols struggle with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -19,6 +19,18 @@ import numpy as np
 
 class TopologyError(ValueError):
     """Raised for invalid topology configurations or malformed queries."""
+
+
+def check_integers(params, error: type[ValueError]) -> None:
+    """Raise `error` for a field of the dataclass `params` annotated int or
+    list[int] (or either `| None`) that holds something else, such as 1.5
+    or 2.0; the message starts with the field's name."""
+    for f in fields(params):
+        kind, value = f.type.removesuffix(" | None"), getattr(params, f.name)
+        if value is None or kind not in ("int", "list[int]"):
+            continue
+        if not all(isinstance(x, (int, np.integer)) for x in (value if kind == "list[int]" else [value])):
+            raise error(f"{f.name}: must be an integer, got {value!r}")
 
 
 class NodeRole(Enum):
@@ -62,6 +74,7 @@ class TopologyConfig:
     seed: int | None = None
 
     def validate(self) -> None:
+        check_integers(self, TopologyError)
         if self.node_count < 2:
             raise TopologyError("node_count must be at least 2")
         if self.fragment_count < 1:
@@ -347,11 +360,12 @@ def save_topology(topology: Topology, path: str | Path) -> None:
 def load_topology(path: str | Path) -> Topology:
     """Read `save_topology`'s form. A node line without a fragment is in
     fragment 0, so files without fragments or bridges load as one fragment.
-    A line that does not parse, has the wrong number of fields, names a node
-    outside the header's count, repeats a node, makes a self-loop, or repeats
-    an edge or a bridge (in either orientation) is a `TopologyError` naming
-    the file and the line; any other invalid topology, such as a second
-    gateway, is one naming the file."""
+    A line that does not parse, has the wrong number of fields, gives a node
+    count below 1, names a node outside the header's count, repeats a node,
+    makes a self-loop, or repeats an edge or a bridge (in either
+    orientation) is a `TopologyError` naming the file and the line; any
+    other invalid topology, such as a second gateway, is one naming the
+    file."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("nodes "):
@@ -369,6 +383,8 @@ def load_topology(path: str | Path) -> Topology:
                 raise ValueError(f"wrong number of fields for {kind!r}")
             if index == 0:
                 count = int(fields[0])
+                if count < 1:
+                    raise ValueError("a topology needs at least one node")
             elif kind == "node":
                 node = int(fields[0])
                 if node in roles:

@@ -10,15 +10,16 @@ ceil(max(1, max_j(v_j) + 1 - v_i)). Nodes can be put in a fallback mode
 (uniform choice) where trails misbehave, e.g. at bridge endpoints in
 fragmented networks.
 
-Selection and the bump take arrays, so the engine moves many checkers per
-call, with the same draws and values as one checker at a time:
+Selection and the bump take arrays. `move` moves many checkers per call,
+with the same draws and values as one pick and one bump per checker in input
+order:
 
 - A bump changes the weights only of a later checker with the same
-  (node, type), so the engine moves checkers in rounds by rank, the number
-  of earlier movers with the same key: one `roulette` and one bump a round.
-  A step whose keys are all distinct is one round, drawn with one
+  (node, type), so `move` takes checkers in rounds by rank, the number of
+  earlier movers with the same key: one roulette and one bump a round. A
+  call whose keys are all distinct is one round, drawn with one
   `rng.integers(1, totals + 1)` call.
-- Rounds run out of id order, so the engine reads their draws ahead with
+- Rounds run out of input order, so `move` reads their draws ahead with
   one `rng.integers(0, 2**32, size=m, dtype=np.uint64)`: the next m 32-bit
   values, in the order numpy's bounded draws take them. A checker whose
   total is above 1 takes the next value x and picks 1 + (x * total >> 32),
@@ -29,14 +30,14 @@ call, with the same draws and values as one checker at a time:
 - Two draws take other than one accepted value: a rejected one (the
   product's low half below 2^32 mod total, with probability below
   total / 2^32), and a total above 2^32, which numpy draws from a whole
-  64-bit word. The engine runs every round, then takes the lowest id
-  flagged as the first such draw: a checker below it sees the total and
+  64-bit word. `move` runs every round, then takes the lowest position
+  flagged as the first such draw: a checker before it sees the total and
   value of one pick at a time, so none is flagged wrongly. It rolls back
   the bumps of the checkers from that one on, in reverse order, rewinds the
   stream to it and takes that draw from the generator.
 - A checker draws iff its total is above 1: always at degree 2 or more, and
   at a leaf when its float weight ceil(max(1, v + 1 - v)) comes out as 2
-  (v = 1.03 does). A leaf's move is forced, so the engine settles its bump
+  (v = 1.03 does). A leaf's move is forced, so `move` settles its bump
   chains first, and with them which leaf checkers draw.
 - A fallback node has unit weights. Its draw from [1, degree] consumes the
   stream as a uniform draw from [0, degree) would, and none at degree 1.
@@ -51,8 +52,8 @@ The fade visits only the entries that may be nonzero. An entry at 0 stays at
 the whole matrix; every other entry gets that same float operation. The
 first fade finds the nonzero entries with one scan, so values written
 directly before it fade exactly. From then on the state tracks them, which
-holds only if nothing but `record_traversal` and the engine's rollback of its
-own bumps writes `values`; both touch only entries a bump has tracked. A
+holds only if nothing but `record_traversal` and `move`'s rollback of its own
+bumps writes `values`; both touch only entries a bump has tracked. A
 gather and scatter costs several times a pass in place per entry, so once
 the tracked entries reach a fixed share of the matrix the fade falls back to
 the full pass for the rest of the run.
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Topology
+from .topology import Topology, check_integers
 
 # Share of the matrix at which the fade stops tracking entries. Per fade, a
 # tracked entry costs 7-16 ns (gather, subtract, floor, scatter, drop) and an
@@ -73,6 +74,19 @@ from .topology import Topology
 # (numpy 2.4, one core of a 2-vCPU x86 VM): the two break even at a share
 # between 1/10 and 1/5.
 _FULL_PASS_SHARE = 1 / 8
+
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _lemire_picks(values: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw from [1, total] on one accepted 32-bit value
+    each: 1 + (value * total >> 32). Also flags the draws that take more
+    than `values` gives them: a rejected value (the low half of the product
+    below 2^32 mod total), or a total above 2^32, drawn from a 64-bit word."""
+    wide = totals.astype(np.uint64)
+    product = values * wide
+    exceptional = (totals > 1 << 32) | ((product & _LOW_HALF) < np.uint64(1 << 32) % wide)
+    return (product >> np.uint64(32)).astype(np.int64) + 1, exceptional
 
 
 @dataclass
@@ -86,6 +100,7 @@ class TrailParams:
     exponent_cap: float = 30.0
 
     def validate(self) -> None:
+        check_integers(self, ValueError)
         for name in ("increase_base", "increase_scale", "decay_step", "value_cap", "exponent_cap"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
@@ -100,8 +115,8 @@ class TrailState:
     a different slot owned by the other endpoint.
 
     From the first fade on, `values` may be changed only by
-    `record_traversal` and by rolling back a bump to the value it replaced:
-    the fade visits only the entries those calls have tracked.
+    `record_traversal` and by `move` rolling back a bump to the value it
+    replaced: the fade visits only the entries those calls have tracked.
     """
 
     def __init__(self, topology: Topology, params: TrailParams, cell_types: int):
@@ -134,13 +149,13 @@ class TrailState:
         indptr = self.topology.adj_indptr
         self._decay_steps[indptr[node] : indptr[node + 1]] = decay_step
 
-    def record_traversal(self, slots, cell_types) -> None:
+    def record_traversal(self, slots, cell_types) -> np.ndarray:
         """Bump each (slot, type) entry: the link taken, at the departure node.
 
         Takes one pair or arrays of pairs; a pair may appear once per call.
         Each new value is min(base + scale * e^min(old, exponent_cap),
         value_cap): e^old is taken with `math.exp`, the rest of the law is
-        exact in array arithmetic.
+        exact in array arithmetic. Returns the new values, in input order.
         """
         slots, cell_types = np.atleast_1d(slots), np.atleast_1d(cell_types)
         if ((cell_types < 1) | (cell_types > self.cell_types)).any():
@@ -153,13 +168,13 @@ class TrailState:
         params = self.params
         old = np.minimum(self.values[slots, cell_types], params.exponent_cap)
         grown = np.fromiter(map(math.exp, old.tolist()), dtype=np.float64, count=len(old))
-        self.values[slots, cell_types] = np.minimum(
-            params.increase_base + params.increase_scale * grown, params.value_cap
-        )
+        new = np.minimum(params.increase_base + params.increase_scale * grown, params.value_cap)
+        self.values[slots, cell_types] = new
         if self._marked is not None:
             fresh = pairs[~self._marked[pairs]]
             self._marked[fresh] = True
             self._bumped.append(fresh)
+        return new
 
     def decay_all(self) -> None:
         """One step of linear fade: max(0, old - step) on every entry, with
@@ -193,7 +208,7 @@ class TrailState:
         np.subtract(self.values, self._decay_steps[:, None], out=self.values)
         np.maximum(self.values, 0.0, out=self.values)
 
-    def roulette(self, nodes: np.ndarray, cell_types: np.ndarray):
+    def _roulette(self, nodes: np.ndarray, cell_types: np.ndarray):
         """Each node's total link weight for its cell type, and the map from
         one draw per node in [1, total] to the slot of the link it picks.
 
@@ -226,5 +241,70 @@ class TrailState:
         picks equal one call per node only if no two nodes share a
         (node, type) key that a bump in between would change.
         """
-        totals, to_slots = self.roulette(nodes, cell_types)
+        totals, to_slots = self._roulette(nodes, cell_types)
         return to_slots(rng.integers(1, totals + 1))
+
+    def move(self, nodes: np.ndarray, cell_types: np.ndarray, rng: np.random.Generator):
+        """The slot each mover takes and the value its bump leaves, as one
+        roulette pick and one bump per mover in input order would leave
+        them, the selection stream too. The module docstring says how."""
+        n = len(nodes)
+        keys = nodes * (self.cell_types + 1) + cell_types
+        order = np.argsort(keys, kind="stable")
+        first = np.ones(n, dtype=bool)
+        first[1:] = keys[order[1:]] != keys[order[:-1]]
+        if first.all():
+            slots = self.select_next_hop(nodes, cell_types, rng)
+            return slots, self.record_traversal(slots, cell_types)
+        slots = np.empty(n, dtype=np.int64)
+        bumped = np.empty(n, dtype=np.float64)
+
+        def bump(movers: np.ndarray) -> None:
+            bumped[movers] = self.record_traversal(slots[movers], cell_types[movers])
+
+        index = np.arange(n)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = index - np.maximum.accumulate(np.where(first, index, 0))
+        by_rank = np.argsort(rank, kind="stable")
+        rounds = np.split(by_rank, np.flatnonzero(np.diff(rank[by_rank])) + 1)
+        # A leaf's move is forced, but whether it draws depends on the
+        # value its bump chain has reached, so its chains go first.
+        leaf = self.topology.degrees[nodes] == 1
+        draws = ~leaf
+        for movers in rounds:
+            movers = movers[leaf[movers]]
+            if len(movers) == 0:
+                continue
+            draws[movers] = self._roulette(nodes[movers], cell_types[movers])[0] > 1
+            slots[movers] = self.topology.adj_indptr[nodes[movers]]
+            bump(movers)
+        position = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(draws, out=position[1:])
+        start = 0
+        while True:
+            saved = rng.bit_generator.state
+            values = rng.integers(0, 1 << 32, size=int(position[n] - position[start]), dtype=np.uint64)
+            # The movers from `end` on wait for the first draw flagged.
+            end, done = n, []
+            for movers in rounds:
+                movers = movers[~leaf[movers] & (movers >= start)]
+                if len(movers) == 0:
+                    continue
+                totals, to_slots = self._roulette(nodes[movers], cell_types[movers])
+                picks, exceptional = _lemire_picks(values[position[movers] - position[start]], totals)
+                slots[movers] = to_slots(picks)
+                if exceptional.any():
+                    end = min(end, int(movers[exceptional][0]))
+                done.append((movers, self.values[slots[movers], cell_types[movers]]))
+                bump(movers)
+            if end == n:
+                return slots, bumped
+            for undo, old in reversed(done):
+                back = undo >= end
+                self.values[slots[undo[back]], cell_types[undo[back]]] = old[back]
+            rng.bit_generator.state = saved
+            rng.integers(0, 1 << 32, size=int(position[end] - position[start]), dtype=np.uint64)
+            taken = index[end : end + 1]
+            slots[taken] = self.select_next_hop(nodes[taken], cell_types[taken], rng)
+            bump(taken)
+            start = end + 1

@@ -165,11 +165,11 @@ class TestConfigValidation:
                 "topology: node_count too small for the role mix",
             ),
             # Integer fields, found by their annotations, hold integers only.
-            (dict(traffic=TrafficConfig(packets_per_step=1.5)), "traffic.packets_per_step: must be an integer"),
+            (dict(traffic=TrafficConfig(packets_per_step=1.5)), "traffic: packets_per_step: must be an integer"),
             (dict(duration=5.5), "duration: must be an integer"),
             (dict(cell_types=2.0), "cell_types: must be an integer"),
             (dict(packet_checkers_per_type=1.5), "packet_checkers_per_type: must be an integer"),
-            (dict(topology=TopologyConfig(node_count=30.0, seed=7)), "topology.node_count: must be an integer"),
+            (dict(topology=TopologyConfig(node_count=30.0, seed=7)), "topology: node_count: must be an integer"),
             (dict(start_nodes=[0, 2.5]), "start_nodes: must be an integer"),
         ],
     )

@@ -91,6 +91,10 @@ class TestGeneration:
         with pytest.raises(TopologyError, match="no path from 0 to 2"):
             source.generate(np.random.default_rng(0))
 
+    def test_non_integer_packet_count_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="packets_per_step: must be an integer, got 1.5"):
+            TrafficSource(TrafficConfig(packets_per_step=1.5), TOPO, 2)
+
     def test_internal_attacks_are_introduced_at_a_single_node(self):
         source = TrafficSource(TrafficConfig(internal_attack_rate=2.0), TOPO, 5)
         packets, _ = source.generate(np.random.default_rng(4))

@@ -177,6 +177,10 @@ def test_invalid_configs_rejected():
         TopologyConfig(node_count=10, workstation_fraction=0.2).validate()
     with pytest.raises(TopologyError):
         generate_topology(TopologyConfig(node_count=10))  # seed unset
+    for key, value in [("node_count", 30.0), ("fragment_count", 2.0), ("seed", 7.5)]:
+        config = TopologyConfig(**{"node_count": 30, "seed": 7, key: value})
+        with pytest.raises(TopologyError, match=f"{key}: must be an integer, got {value}"):
+            generate_topology(config)
 
 
 def test_self_loops_and_duplicate_edges_rejected():
@@ -292,6 +296,8 @@ def test_load_rejects_malformed_files(tmp_path):
         ("nodes 2 7\nnode 0 gateway\nnode 1 router\n", "nodes 2 7"),
         ("nodes 2\nnode 0 gateway 0 extra\nnode 1 router\n", "node 0 gateway 0 extra"),
         (two_nodes + "edge 0 1 9\n", "edge 0 1 9"),
+        ("nodes -1\n", "nodes -1"),
+        ("nodes 0\n", "nodes 0"),
         (THREE_NODES.replace("node 2 router", "node 2 gateway"), "gateway: nodes 0 and 2"),
     ]:
         bad.write_text(text, encoding="utf-8")

@@ -33,8 +33,7 @@ from sentinet import (
     TrailParams,
     TrailState,
 )
-from sentinet.engine import _lemire_picks
-from sentinet.trails import _FULL_PASS_SHARE
+from sentinet.trails import _FULL_PASS_SHARE, _lemire_picks
 
 PARAMS = TrailParams()  # increase_base 10, increase_scale 1/1000, decay_step 2
 SHIPPED = TrailParams(increase_base=400.0, increase_scale=0.001, decay_step=0.5, value_cap=450.0)
@@ -429,8 +428,9 @@ class TestBatchedDrawFacts:
         state = TrailState(star_topology(len(old)), params, cell_types=1)
         slots = np.arange(len(old))  # node 0's links
         state.values[slots, 1] = old
-        state.record_traversal(slots, np.ones(len(old), dtype=np.int64))
+        new = state.record_traversal(slots, np.ones(len(old), dtype=np.int64))
         assert state.values[slots, 1].tolist() == [trail_increase(v, params) for v in old.tolist()]
+        assert np.array_equal(new, state.values[slots, 1])
 
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize(
