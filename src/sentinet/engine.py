@@ -140,6 +140,12 @@ class SimulationConfig:
             raise ConfigError("node_checkers_per_type: must be non-negative")
         if not 0 < self.security_value < math.inf:
             raise ConfigError("security_value: must be finite and positive")
+        for role in self.min_security_by_role:
+            if not isinstance(role, NodeRole):
+                raise ConfigError(f"min_security_by_role: {role!r} is not a NodeRole")
+        for v in self.min_security_by_node:
+            if not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"min_security_by_node: node {v!r} is not an integer")
         requirements = [("min_security", self.min_security)]
         requirements += [(f"min_security_{r.value}", x) for r, x in self.min_security_by_role.items()]
         requirements += [(f"min_security_by_node[{v}]", x) for v, x in self.min_security_by_node.items()]
@@ -296,6 +302,9 @@ class Engine:
                 raise ConfigError(f"start_nodes: unknown node {v}")
         ids = np.arange(n_pc + n_nc)
         self.loc = np.asarray(start_nodes, dtype=np.int64)[ids % len(start_nodes)]
+        # Packet checkers per node. Only the two writers of loc[:n_pc],
+        # _move_packet_checkers and _centralized_assign, change it.
+        self.pc_count = np.bincount(self.loc[:n_pc], minlength=n)
 
         self.trail_state: TrailState | None = None
         if self.trails_on:
@@ -410,11 +419,7 @@ class Engine:
             self.infections_cleared += len(set(zip(nodes.tolist(), types.tolist())))
 
     def _phase_security(self) -> np.ndarray:
-        n = self.topology.node_count
-        security = (
-            np.bincount(self.loc[: self.n_pc], minlength=n).astype(np.float64)
-            * self.config.security_value
-        )
+        security = self.pc_count * self.config.security_value
         np.maximum(self.min_security_node - security, 0.0, out=self.lacking)
         self._deficiency[self.t] = int(np.count_nonzero(self.lacking))
         return self.lacking
@@ -447,8 +452,7 @@ class Engine:
         if n_pc == 0:
             return
         locs = self.loc[:n_pc]
-        u_move = self._rng_movement.random(n_pc)
-        u_dest = self._rng_movement.random(n_pc)
+        u_move, u_dest = self._rng_movement.random(2 * n_pc).reshape(2, n_pc)
         # Each node's move probability, gathered once per checker. No draw
         # falls below 0, so checkers at a lacking or linkless node stay.
         node_prob = np.full(topo.node_count, params.base_probability)
@@ -461,9 +465,11 @@ class Engine:
         offsets = (u_dest[movers] * topo.degrees[at]).astype(np.int64)
         dest = topo.adj_neighbors[topo.adj_indptr[at] + offsets]
         if self.notification_on:
-            led = self.notif_value[at] > 0
-            dest[led] = self.notif_from[at[led]]
+            lead = np.where(self.notif_value > 0, self.notif_from, -1)[at]
+            dest = np.where(lead < 0, dest, lead)
         locs[movers] = dest
+        n = topo.node_count
+        self.pc_count += np.bincount(dest, minlength=n) - np.bincount(at, minlength=n)
 
     def _move_node_checkers(self) -> None:
         """Every node checker with a link decides in id order, drawing from the
@@ -496,7 +502,7 @@ class Engine:
             return
         locs = self.loc[:n_pc]
         required = self.min_security_node / self.config.security_value
-        counts = np.bincount(locs, minlength=n)
+        counts = self.pc_count
         moves = plan_rebalance(counts, required)
         if not len(moves):
             return
@@ -519,6 +525,8 @@ class Engine:
         slot = np.repeat(pool_start[src] - group_start, amount) + np.arange(cell_end[-1])
         chosen = keys[slot] % n_pc
         self.loc[chosen] = np.repeat(dst, amount)
+        np.subtract.at(counts, src, amount)
+        np.add.at(counts, dst, amount)
         self.control_bandwidth += 2.0 * int(self._dist_from_gateway[src] @ amount)
 
     # ------------------------------------------------------------------
@@ -532,8 +540,8 @@ class Engine:
         self._phase_relay()
         self._phase_trail_fade()
         self._phase_movement()
-        self._entity_counts[self.t] = np.bincount(
-            self.loc, minlength=self.topology.node_count
+        self._entity_counts[self.t] = self.pc_count + np.bincount(
+            self.loc[self.n_pc :], minlength=self.topology.node_count
         )
         self.t += 1
 

@@ -41,19 +41,23 @@ order:
   chains first, and with them which leaf checkers draw.
 - A fallback node has unit weights. Its draw from [1, degree] consumes the
   stream as a uniform draw from [0, degree) would, and none at degree 1.
-- The bump takes e^old with `math.exp` per value: `np.exp` differs from it
-  in the last bit on some inputs below the exponent cap, which would change
-  the trail values and then the picks.
-- One call bumps each (slot, type) pair at most once; a fancy assignment
-  would drop the second bump of a repeated pair.
+- The bump takes e^old with `math.exp`: `np.exp` differs from it in the
+  last bit on some inputs below the exponent cap, which would change the
+  trail values and then the picks. Only an old value other than 0 and below
+  the cap needs a call; e^0 is 1, and every value at or above the cap takes
+  the one e^cap.
+- One bump takes each (slot, type) pair at most once; a fancy assignment
+  would drop the second bump of a repeated pair. A round's pairs are
+  distinct, since its (node, type) keys are and a slot belongs to one node,
+  so `move` bumps without `record_traversal`'s input checks.
 
 The fade visits only the entries that may be nonzero. An entry at 0 stays at
 0 under max(0, 0 - step), so skipping it leaves the same bytes as a pass over
 the whole matrix; every other entry gets that same float operation. The
 first fade finds the nonzero entries with one scan, so values written
 directly before it fade exactly. From then on the state tracks them, which
-holds only if nothing but `record_traversal` and `move`'s rollback of its own
-bumps writes `values`; both touch only entries a bump has tracked. A
+holds only if nothing but the bump and `move`'s rollback of its own bumps
+writes `values`; both touch only entries a bump has tracked. A
 gather and scatter costs several times a pass in place per entry, so once
 the tracked entries reach a fixed share of the matrix the fade falls back to
 the full pass for the rest of the run.
@@ -114,9 +118,9 @@ class TrailState:
     values are indexed [slot, cell_type]. The reverse direction of a link is
     a different slot owned by the other endpoint.
 
-    From the first fade on, `values` may be changed only by
-    `record_traversal` and by `move` rolling back a bump to the value it
-    replaced: the fade visits only the entries those calls have tracked.
+    From the first fade on, `values` may be changed only by a bump
+    (`record_traversal`, `move`) and by `move` rolling back a bump to the
+    value it replaced: the fade visits only the entries bumps have tracked.
     """
 
     def __init__(self, topology: Topology, params: TrailParams, cell_types: int):
@@ -165,12 +169,20 @@ class TrailState:
         pairs = np.sort(slots * (self.cell_types + 1) + cell_types)
         if (pairs[1:] == pairs[:-1]).any():
             raise ValueError("a (slot, type) pair is bumped at most once per call")
+        return self._bump(slots, cell_types)
+
+    def _bump(self, slots: np.ndarray, cell_types: np.ndarray) -> np.ndarray:
+        """`record_traversal` on distinct, in-range pairs, unchecked."""
         params = self.params
-        old = np.minimum(self.values[slots, cell_types], params.exponent_cap)
-        grown = np.fromiter(map(math.exp, old.tolist()), dtype=np.float64, count=len(old))
+        cap = params.exponent_cap
+        old = self.values[slots, cell_types]
+        grown = np.where(old >= cap, math.exp(cap), 1.0)
+        rest = np.flatnonzero((old != 0.0) & (old < cap))
+        grown[rest] = np.fromiter(map(math.exp, old[rest].tolist()), dtype=np.float64, count=len(rest))
         new = np.minimum(params.increase_base + params.increase_scale * grown, params.value_cap)
         self.values[slots, cell_types] = new
         if self._marked is not None:
+            pairs = slots * (self.cell_types + 1) + cell_types
             fresh = pairs[~self._marked[pairs]]
             self._marked[fresh] = True
             self._bumped.append(fresh)
@@ -255,12 +267,12 @@ class TrailState:
         first[1:] = keys[order[1:]] != keys[order[:-1]]
         if first.all():
             slots = self.select_next_hop(nodes, cell_types, rng)
-            return slots, self.record_traversal(slots, cell_types)
+            return slots, self._bump(slots, cell_types)
         slots = np.empty(n, dtype=np.int64)
         bumped = np.empty(n, dtype=np.float64)
 
         def bump(movers: np.ndarray) -> None:
-            bumped[movers] = self.record_traversal(slots[movers], cell_types[movers])
+            bumped[movers] = self._bump(slots[movers], cell_types[movers])
 
         index = np.arange(n)
         rank = np.empty(n, dtype=np.int64)

@@ -40,7 +40,9 @@ from sentinet import (
     TrafficConfig,
     TrailParams,
     generate_topology,
+    load_topology,
     plan_rebalance,
+    save_topology,
 )
 from sentinet.engine import STRATEGIES
 
@@ -171,11 +173,21 @@ class TestConfigValidation:
             (dict(packet_checkers_per_type=1.5), "packet_checkers_per_type: must be an integer"),
             (dict(topology=TopologyConfig(node_count=30.0, seed=7)), "topology: node_count: must be an integer"),
             (dict(start_nodes=[0, 2.5]), "start_nodes: must be an integer"),
+            # Requirement keys: node ids are integers, roles are NodeRoles.
+            (dict(min_security_by_node={1.5: 3.0}), "min_security_by_node: node 1.5 is not an integer"),
+            (dict(min_security_by_node={"3": 2.0}), "min_security_by_node: node '3' is not an integer"),
+            (dict(min_security_by_role={"x": 3.0}), "min_security_by_role: 'x' is not a NodeRole"),
         ],
     )
     def test_non_finite_and_out_of_range_rejected(self, overrides, key):
         with pytest.raises(ConfigError, match=key):
             Engine(small_config(**overrides))
+
+    def test_requirement_keys_checked_by_validate(self):
+        with pytest.raises(ConfigError, match="min_security_by_role: 'x'"):
+            SimulationConfig(min_security_by_role={"x": 3.0}).validate()
+        engine = Engine(small_config(min_security_by_node={np.int64(2): 3.0}))
+        assert engine.min_security_node[2] == 3.0
 
     @pytest.mark.parametrize(
         "overrides",
@@ -354,6 +366,43 @@ class TestConservation:
         report = Engine(small_config()).run()
         assert 0.0 <= report.detection_rate <= 1.0
         assert report.detected_packets + report.delivered_infected <= report.introduced_packets
+
+
+def assert_counts_kept(config: SimulationConfig, topology: Topology | None = None) -> None:
+    """After every step the engine's kept packet-checker count and the
+    step's entity-count row equal counts over the checkers' locations."""
+    engine = Engine(config, topology=topology)
+    n, n_pc = engine.topology.node_count, engine.n_pc
+    rows = []
+    while engine.t < config.duration:
+        engine.step()
+        assert np.array_equal(engine.pc_count, np.bincount(engine.loc[:n_pc], minlength=n))
+        rows.append(np.bincount(engine.loc, minlength=n))
+    assert np.array_equal(engine.report().entity_counts, np.array(rows))
+
+
+class TestPacketCheckerCount:
+    # 32 packet checkers against a requirement of 60 (the manager's supply
+    # runs dry), none at all, and every cell starting on one node.
+    @example(config=small_config(strategy="centralized", duration=20))
+    @example(config=small_config(packet_checkers_per_type=0, duration=15))
+    @example(config=small_config(start_nodes=[4], duration=20))
+    @over_random_configs
+    def test_kept_count_equals_a_recount(self, config):
+        for strategy in STRATEGIES:
+            assert_counts_kept(replace(config, strategy=strategy))
+
+    def test_kept_count_on_a_loaded_topology_with_an_isolated_node(self, tmp_path):
+        save_topology(with_isolated_node(generate_topology(TopologyConfig(node_count=30, seed=7)), 15), tmp_path / "t")
+        config = small_config(
+            traffic=TrafficConfig(),  # no path from the gateway reaches the hole
+            start_nodes=[15, 3, 20],
+            min_security_by_node={3: 40.0, 15: 40.0},
+            duration=30,
+        )
+        # The centralized manager refuses a node it cannot reach.
+        for strategy in ("uninformed", "notification", "trails", "protocols"):
+            assert_counts_kept(replace(config, strategy=strategy), load_topology(tmp_path / "t"))
 
 
 class TestBandwidthInvariant:

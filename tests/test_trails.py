@@ -432,6 +432,19 @@ class TestBatchedDrawFacts:
         assert state.values[slots, 1].tolist() == [trail_increase(v, params) for v in old.tolist()]
         assert np.array_equal(new, state.values[slots, 1])
 
+    @pytest.mark.parametrize("params", [PARAMS, SHIPPED, LARGE])
+    def test_bump_at_the_exp_bounds_equals_trail_increase(self, params):
+        # Only old values strictly between 0 and the exponent cap call math.exp.
+        cap = params.exponent_cap
+        old = [0.0, 5e-324, math.nextafter(cap, 0.0), cap, cap + 1.0, params.value_cap]
+        state = TrailState(star_topology(len(old)), params, cell_types=1)
+        slots = np.arange(len(old))
+        state.values[slots, 1] = old
+        new = state.record_traversal(slots, np.ones(len(old), dtype=np.int64))
+        expected = np.array([trail_increase(v, params) for v in old])
+        assert new.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert state.values[slots, 1].tolist() == new.tolist()
+
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize(
         "totals",
