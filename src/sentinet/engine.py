@@ -465,7 +465,7 @@ class Engine:
         offsets = (u_dest[movers] * topo.degrees[at]).astype(np.int64)
         dest = topo.adj_neighbors[topo.adj_indptr[at] + offsets]
         if self.notification_on:
-            lead = np.where(self.notif_value > 0, self.notif_from, -1)[at]
+            lead = self.notif_from[at]
             dest = np.where(lead < 0, dest, lead)
         locs[movers] = dest
         n = topo.node_count

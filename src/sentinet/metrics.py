@@ -66,7 +66,10 @@ class MetricsReport:
     # ------------------------------------------------------------------
 
     def _span(self, span: tuple[int, int] | None) -> tuple[int, int]:
-        return span if span is not None else (0, self.duration)
+        start, end = span if span is not None else (0, self.duration)
+        if not 0 <= start <= end <= self.duration:
+            raise ValueError(f"span {span} must lie in 0..{self.duration} and start at or before its end")
+        return start, end
 
     def _pair_keys(self, start: int, end: int) -> np.ndarray:
         """One int64 key, node * (k + 1) + type, per check at steps
@@ -85,15 +88,19 @@ class MetricsReport:
     ) -> float:
         """Fraction of (node, type, window) triples with at least one check.
 
-        Only complete windows inside span are counted. Returns 1.0 exactly
-        when every considered node was checked for every type in every window.
+        Only complete windows inside span are counted, and each node once.
+        Returns 1.0 exactly when every considered node was checked for every
+        type in every window.
         """
         if window <= 0:
             raise ValueError("window must be positive")
         start, end = self._span(span)
         n_windows = (end - start) // window
-        node_list = nodes if nodes is not None else list(range(self.node_count))
-        if n_windows == 0 or not node_list or self.cell_types == 0:
+        node_list = np.arange(self.node_count) if nodes is None else np.unique(np.asarray(nodes, dtype=np.int64))
+        unknown = node_list[(node_list < 0) | (node_list >= self.node_count)]
+        if len(unknown):
+            raise ValueError(f"unknown node {unknown[0]}")
+        if n_windows == 0 or len(node_list) == 0 or self.cell_types == 0:
             return 0.0
         stop = start + n_windows * window
         keys = self._pair_keys(start, stop)

@@ -21,24 +21,19 @@ order:
   `rng.integers(1, totals + 1)` call.
 - Rounds run out of input order, so `move` reads their draws ahead with
   one `rng.integers(0, 2**32, size=m, dtype=np.uint64)`: the next m 32-bit
-  values, in the order numpy's bounded draws take them. A checker whose
-  total is above 1 takes the next value x and picks 1 + (x * total >> 32),
-  numpy's Lemire draw (a total of exactly 2^32 too); a total of 1 draws
-  nothing. When all m values are used, the generator is already where m
-  draws leave it; otherwise it is restored and the values used are drawn
-  again.
-- Two draws take other than one accepted value: a rejected one (the
-  product's low half below 2^32 mod total, with probability below
-  total / 2^32), and a total above 2^32, which numpy draws from a whole
-  64-bit word. `move` runs every round, then takes the lowest position
-  flagged as the first such draw: a checker before it sees the total and
-  value of one pick at a time, so none is flagged wrongly. It rolls back
-  the bumps of the checkers from that one on, in reverse order, rewinds the
-  stream to it and takes that draw from the generator.
-- A checker draws iff its total is above 1: always at degree 2 or more, and
-  at a leaf when its float weight ceil(max(1, v + 1 - v)) comes out as 2
-  (v = 1.03 does). A leaf's move is forced, so `move` settles its bump
-  chains first, and with them which leaf checkers draw.
+  values, in the order numpy's bounded draws take them, one per mover off a
+  leaf. Such a mover's total is 2 or more, and it takes the next value x
+  and picks 1 + (x * total >> 32), numpy's Lemire draw. A leaf mover picks
+  its one link and, at a total of 1, draws nothing.
+- The read-ahead is wrong from the first draw that takes other than one
+  accepted value (a rejected one, the product's low half below
+  2^32 mod total, with probability below total / 2^32; or a total above
+  2^32, which numpy draws from a whole 64-bit word), and from the first
+  leaf whose total is above 1, as when its float weight
+  ceil(max(1, v + 1 - v)) comes out as 2 (v = 1.03 does). A round that
+  meets either stops `move`: it rolls back the call's bumps in reverse
+  order, restores the stream and replays the call as one `select_next_hop`
+  and one bump per mover, the definition itself.
 - A fallback node has unit weights. Its draw from [1, degree] consumes the
   stream as a uniform draw from [0, degree) would, and none at degree 1.
 - The bump takes e^old with `math.exp`: `np.exp` differs from it in the
@@ -66,6 +61,7 @@ the full pass for the rest of the run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +76,8 @@ from .topology import Topology, check_integers
 _FULL_PASS_SHARE = 1 / 8
 
 _LOW_HALF = np.uint64(0xFFFFFFFF)
+# The largest x whose e^x `math.exp` returns as a float.
+_MAX_EXPONENT = math.log(sys.float_info.max)
 
 
 def _lemire_picks(values: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,6 +106,13 @@ class TrailParams:
         for name in ("increase_base", "increase_scale", "decay_step", "value_cap", "exponent_cap"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if self.exponent_cap > _MAX_EXPONENT:
+            raise ValueError(f"exponent_cap must be at most {_MAX_EXPONENT:.4f}, where e^cap is finite")
+        # A roulette call sums int64 weights of up to the top value + 1 over
+        # all the links it reads: exact below 2^40 on under 2^22 link slots.
+        reach = min(self.value_cap, self.increase_base + self.increase_scale * math.exp(self.exponent_cap))
+        if reach > 2.0**40:
+            raise ValueError(f"value_cap must keep trail values at most 2^40; they reach {reach:.3g}")
 
 
 class TrailState:
@@ -268,55 +273,35 @@ class TrailState:
         if first.all():
             slots = self.select_next_hop(nodes, cell_types, rng)
             return slots, self._bump(slots, cell_types)
-        slots = np.empty(n, dtype=np.int64)
-        bumped = np.empty(n, dtype=np.float64)
-
-        def bump(movers: np.ndarray) -> None:
-            bumped[movers] = self._bump(slots[movers], cell_types[movers])
-
         index = np.arange(n)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = index - np.maximum.accumulate(np.where(first, index, 0))
         by_rank = np.argsort(rank, kind="stable")
-        rounds = np.split(by_rank, np.flatnonzero(np.diff(rank[by_rank])) + 1)
-        # A leaf's move is forced, but whether it draws depends on the
-        # value its bump chain has reached, so its chains go first.
         leaf = self.topology.degrees[nodes] == 1
-        draws = ~leaf
-        for movers in rounds:
-            movers = movers[leaf[movers]]
-            if len(movers) == 0:
-                continue
-            draws[movers] = self._roulette(nodes[movers], cell_types[movers])[0] > 1
-            slots[movers] = self.topology.adj_indptr[nodes[movers]]
-            bump(movers)
-        position = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(draws, out=position[1:])
-        start = 0
-        while True:
-            saved = rng.bit_generator.state
-            values = rng.integers(0, 1 << 32, size=int(position[n] - position[start]), dtype=np.uint64)
-            # The movers from `end` on wait for the first draw flagged.
-            end, done = n, []
-            for movers in rounds:
-                movers = movers[~leaf[movers] & (movers >= start)]
-                if len(movers) == 0:
-                    continue
-                totals, to_slots = self._roulette(nodes[movers], cell_types[movers])
-                picks, exceptional = _lemire_picks(values[position[movers] - position[start]], totals)
-                slots[movers] = to_slots(picks)
-                if exceptional.any():
-                    end = min(end, int(movers[exceptional][0]))
-                done.append((movers, self.values[slots[movers], cell_types[movers]]))
-                bump(movers)
-            if end == n:
-                return slots, bumped
-            for undo, old in reversed(done):
-                back = undo >= end
-                self.values[slots[undo[back]], cell_types[undo[back]]] = old[back]
-            rng.bit_generator.state = saved
-            rng.integers(0, 1 << 32, size=int(position[end] - position[start]), dtype=np.uint64)
-            taken = index[end : end + 1]
-            slots[taken] = self.select_next_hop(nodes[taken], cell_types[taken], rng)
-            bump(taken)
-            start = end + 1
+        position = np.cumsum(~leaf) - 1
+        saved = rng.bit_generator.state
+        # A leaf mover reads a value it does not use: an earlier mover's, or
+        # the trailing 0 when none has drawn; a total of 1 picks 1 on any.
+        values = np.append(rng.integers(0, 1 << 32, size=position[-1] + 1, dtype=np.uint64), np.uint64(0))
+        slots = np.empty(n, dtype=np.int64)
+        bumped = np.empty(n, dtype=np.float64)
+        done = []
+        for movers in np.split(by_rank, np.flatnonzero(np.diff(rank[by_rank])) + 1):
+            totals, to_slots = self._roulette(nodes[movers], cell_types[movers])
+            picks, exceptional = _lemire_picks(values[position[movers]], totals)
+            if (exceptional | (leaf[movers] & (totals > 1))).any():
+                break
+            taken, types = to_slots(picks), cell_types[movers]
+            done.append((taken, types, self.values[taken, types]))
+            slots[movers] = taken
+            bumped[movers] = self._bump(taken, types)
+        else:
+            return slots, bumped
+        for taken, types, old in reversed(done):
+            self.values[taken, types] = old
+        rng.bit_generator.state = saved
+        for i in range(n):
+            one = slice(i, i + 1)
+            slots[one] = self.select_next_hop(nodes[one], cell_types[one], rng)
+            bumped[one] = self._bump(slots[one], cell_types[one])
+        return slots, bumped

@@ -177,11 +177,22 @@ class TestConfigValidation:
             (dict(min_security_by_node={1.5: 3.0}), "min_security_by_node: node 1.5 is not an integer"),
             (dict(min_security_by_node={"3": 2.0}), "min_security_by_node: node '3' is not an integer"),
             (dict(min_security_by_role={"x": 3.0}), "min_security_by_role: 'x' is not a NodeRole"),
+            # Trail laws whose values overflow a float or the roulette's int64 weights.
+            (dict(trail_params=TrailParams(exponent_cap=1000.0)), "trails: exponent_cap"),
+            (dict(trail_params=TrailParams(increase_base=1e19, value_cap=1e20)), "trails: value_cap"),
+            (
+                dict(trail_params=TrailParams(increase_scale=1.0, exponent_cap=700.0, value_cap=1e300)),
+                "trails: value_cap",
+            ),
         ],
     )
     def test_non_finite_and_out_of_range_rejected(self, overrides, key):
         with pytest.raises(ConfigError, match=key):
             Engine(small_config(**overrides))
+
+    @pytest.mark.parametrize("params", [TrailParams(increase_base=1e10, value_cap=1e12), TrailParams(exponent_cap=709.0)])
+    def test_large_trail_values_below_the_bound_run(self, params):
+        Engine(small_config(strategy="trails", trail_params=params)).run()
 
     def test_requirement_keys_checked_by_validate(self):
         with pytest.raises(ConfigError, match="min_security_by_role: 'x'"):

@@ -85,6 +85,24 @@ class TestCheckedFraction:
         with pytest.raises(ValueError):
             report_with_checks([], []).checked_fraction(0)
 
+    def test_each_node_counts_once(self):
+        report = report_with_checks([[0]] * 20, [1], cell_types=1)
+        assert report.checked_fraction(10, nodes=[0]) == 1.0
+        assert report.checked_fraction(10, nodes=[0, 0]) == 1.0
+
+    @pytest.mark.parametrize("nodes", [[7], [-1], [0, 3]])
+    def test_unknown_nodes_rejected(self, nodes):
+        with pytest.raises(ValueError, match="unknown node"):
+            report_with_checks([[0]] * 20, [1], cell_types=1).checked_fraction(10, nodes=nodes)
+
+    @pytest.mark.parametrize("span", [(-10, 20), (0, 21), (12, 8)])
+    def test_span_outside_the_run_rejected(self, span):
+        report = report_with_checks([[0]] * 20, [1], cell_types=1)
+        with pytest.raises(ValueError, match="span"):
+            report.checked_fraction(10, span=span)
+        with pytest.raises(ValueError, match="span"):
+            report.redundant_check_count(5, span=span)
+
 
 class TestRedundantChecks:
     def test_close_repeats_count(self):

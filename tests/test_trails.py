@@ -371,8 +371,8 @@ class TestSelection:
 
 
 def replayed_picks(rng, totals: np.ndarray) -> np.ndarray:
-    """Draws from [1, total], in order, taken as the engine's trail rounds
-    take them: one 32-bit value read ahead per total above 1, and a draw
+    """Draws from [1, total], in order, from `_lemire_picks` where it flags
+    nothing: one 32-bit value read ahead per total above 1, and a draw
     flagged exceptional taken from `rng` itself, once the stream is rewound
     and the values before it are drawn again."""
     picks = np.ones(len(totals), dtype=np.int64)
@@ -627,6 +627,31 @@ class TestNodeCheckerMovesMatchSequentialLoop:
         assert keys[:first].count(keys[first]) == 1
         degrees = engine.topology.degrees
         assert any(keys[:j].count(keys[j]) == 0 and degrees[locs[j]] > 1 for j in range(first + 1, len(keys)))
+
+    def test_repeated_keys_move_in_rounds_without_the_replay(self, monkeypatch):
+        # Repeated keys at the hub and on leaf 1, no leaf total above 1 and
+        # no exceptional draw: `move` must not fall back to `select_next_hop`.
+        topology = star_topology(4)
+        state = TrailState(topology, SHIPPED, cell_types=2)
+        state.values[:4, 1:] = np.random.default_rng(3).uniform(0.0, 450.0, size=(4, 2))
+        nodes = np.array([0, 1, 0, 0, 2, 0, 1, 0, 3, 0, 1])
+        types = np.array([1, 1, 2, 1, 1, 1, 1, 2, 1, 1, 1])
+        rng = np.random.default_rng(4)
+        want = copy.deepcopy(rng)
+        want_locs, want_values, exceptional = sequential_trail_moves(topology, state, nodes, types, want)
+        assert exceptional == []
+
+        def refuse(*args):
+            raise AssertionError("move replayed the call one mover at a time")
+
+        monkeypatch.setattr(state, "select_next_hop", refuse)
+        slots, bumped = state.move(nodes, types, rng)
+        assert topology.adj_neighbors[slots].tolist() == want_locs
+        assert np.array_equal(state.values, want_values)
+        assert rng.bit_generator.state == want.bit_generator.state
+        # Each pair's last bump leaves the value the pair ends with.
+        last = len(slots) - 1 - np.unique((slots * 3 + types)[::-1], return_index=True)[1]
+        assert bumped[last].tolist() == want_values[slots[last], types[last]].tolist()
 
     @given(setup=node_checker_states(), base=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 99))
     @settings(max_examples=100, deadline=None)
